@@ -18,8 +18,10 @@
 //! switch — the extra hardware the DMBDN model admits.
 //!
 //! Crate layout:
-//! * [`topology`] — the graph, with per-node routing ports and subtree
-//!   cover intervals;
+//! * [`topology`] — the graph, plus one 32-byte routing record per node
+//!   (up and down edges of both tree families and the leaf coordinate at
+//!   which each node's two subtrees split), so a routing step is one
+//!   comparison;
 //! * [`network`] — phase-synchronous batched request routing over the
 //!   cycle-level `netsim` engine (root → row tree ↓ → column tree ↑ → root →
 //!   column tree ↓ → leaf, and back), with per-column admission control

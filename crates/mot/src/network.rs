@@ -132,7 +132,6 @@ struct Router<'a, P, F> {
 impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P, F> {
     fn route(&mut self, node: NodeId, p: &mut MotPacket<P>, _topo: &Topology) -> Route {
         let mot = self.mot;
-        let ports = mot.ports(node);
         match p.leg {
             Leg::RowDown => {
                 if let Some((r, c)) = mot.as_leaf(node) {
@@ -144,7 +143,7 @@ impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P,
                     }
                     self.col_admit[c] += 1;
                     p.leg = Leg::ColUp;
-                    Route::Forward(ports.col_up.expect("leaf has column parent"))
+                    Route::Forward(mot.col_up(node).expect("leaf has column parent"))
                 } else {
                     Route::Forward(mot.row_step_down(node, p.req.col))
                 }
@@ -157,7 +156,7 @@ impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P,
                     p.leg = Leg::ColDown;
                     Route::Forward(mot.col_step_down(node, p.req.row))
                 } else {
-                    Route::Forward(ports.col_up.expect("column node has parent"))
+                    Route::Forward(mot.col_up(node).expect("column node has parent"))
                 }
             }
             Leg::ColDown => {
@@ -173,13 +172,13 @@ impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P,
                     p.leg = Leg::ReplyColDown;
                     Route::Forward(mot.col_step_down(node, p.req.src_root))
                 } else {
-                    Route::Forward(ports.col_up.expect("column node has parent"))
+                    Route::Forward(mot.col_up(node).expect("column node has parent"))
                 }
             }
             Leg::ReplyColDown => {
                 if mot.as_leaf(node).is_some() {
                     p.leg = Leg::ReplyRowUp;
-                    Route::Forward(ports.row_up.expect("leaf has row parent"))
+                    Route::Forward(mot.row_up(node).expect("leaf has row parent"))
                 } else {
                     Route::Forward(mot.col_step_down(node, p.req.src_root))
                 }
@@ -189,7 +188,7 @@ impl<P, F: FnMut(usize, usize, &mut P)> Behavior<MotPacket<P>> for Router<'_, P,
                     debug_assert_eq!(t, p.req.src_root);
                     Route::Consume
                 } else {
-                    Route::Forward(ports.row_up.expect("row node has parent"))
+                    Route::Forward(mot.row_up(node).expect("row node has parent"))
                 }
             }
             Leg::Killed => Route::Consume,
@@ -318,6 +317,7 @@ impl<P> MotNetwork<P> {
     ///   exactly once per served request when it reaches its leaf;
     /// * `out` — cleared, then filled with the batch's served / killed /
     ///   faulted requests.
+    // lint: hot
     pub fn route_batch_into<F: FnMut(usize, usize, &mut P)>(
         &mut self,
         reqs: &mut Vec<MotRequest<P>>,

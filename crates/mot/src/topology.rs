@@ -2,18 +2,35 @@
 
 use netsim::{EdgeId, NodeId, Topology};
 
-/// Routing ports of one node. `None` where the node lacks that port
-/// (internal row nodes have no column ports; roots have no up ports).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Ports {
-    /// Toward the row-tree root.
-    pub row_up: Option<EdgeId>,
-    /// Toward the column-tree root.
-    pub col_up: Option<EdgeId>,
-    /// Row-tree children; `[0]` covers the lower half of the column range.
-    pub row_down: [Option<EdgeId>; 2],
-    /// Column-tree children; `[0]` covers the lower half of the row range.
-    pub col_down: [Option<EdgeId>; 2],
+/// Index of the row-tree family in a [`NodeRecord`]'s arrays.
+const ROW: usize = 0;
+/// Index of the column-tree family.
+const COL: usize = 1;
+/// Marks a port the node lacks.
+const NONE: u32 = u32::MAX;
+
+/// Routing record of one node, per tree family (`[ROW]`, `[COL]`): 32
+/// bytes, so one cache line holds two nodes. Ports a node lacks are
+/// [`NONE`] (internal row switches have no column ports; roots have no up
+/// ports).
+#[derive(Debug, Clone, Copy)]
+struct NodeRecord {
+    /// Edge toward the family's root.
+    up: [u32; 2],
+    /// Edges to the two children.
+    down: [[u32; 2]; 2],
+    /// First leaf coordinate (column for the row family, row for the
+    /// column family) below `down[f][1]`; smaller ones are below
+    /// `down[f][0]`.
+    split: [u32; 2],
+}
+
+impl NodeRecord {
+    const EMPTY: NodeRecord = NodeRecord {
+        up: [NONE; 2],
+        down: [[NONE; 2]; 2],
+        split: [0; 2],
+    };
 }
 
 /// An `s × s` two-dimensional mesh of trees with coalesced row/column roots.
@@ -25,14 +42,9 @@ pub struct Ports {
 #[derive(Debug, Clone)]
 pub struct MotTopology {
     side: usize,
+    log_side: u32,
     topo: Topology,
-    ports: Vec<Ports>,
-    /// Column interval of leaves reachable through this node's row-tree
-    /// down-ports: `[lo, hi)`.
-    cover_cols: Vec<(u32, u32)>,
-    /// Row interval of leaves reachable through this node's column-tree
-    /// down-ports.
-    cover_rows: Vec<(u32, u32)>,
+    nodes: Vec<NodeRecord>,
 }
 
 impl MotTopology {
@@ -43,121 +55,50 @@ impl MotTopology {
             "side must be a power of two >= 2"
         );
         let mut topo = Topology::new();
-
-        // Roots 0..side, then leaves.
-        let roots_base = topo.add_nodes(side);
-        debug_assert_eq!(roots_base, 0);
-        let leaves_base = topo.add_nodes(side * side);
-        debug_assert_eq!(leaves_base, side);
-
-        // Total nodes: side roots + side^2 leaves + 2*side*(side-2) internals.
-        let mut ports: Vec<Ports> = Vec::new();
-        let mut cover_cols: Vec<(u32, u32)> = Vec::new();
-        let mut cover_rows: Vec<(u32, u32)> = Vec::new();
-        let grow_to =
-            |v: &mut Vec<Ports>, cc: &mut Vec<(u32, u32)>, cr: &mut Vec<(u32, u32)>, n: usize| {
-                while v.len() < n {
-                    v.push(Ports::default());
-                    cc.push((0, 0));
-                    cr.push((0, 0));
-                }
-            };
-        grow_to(&mut ports, &mut cover_cols, &mut cover_rows, topo.nodes());
-
+        // Roots 0..side, then leaves, then 2·side·(side-2) internals.
+        topo.add_nodes(side + side * side);
+        let mut nodes = vec![NodeRecord::EMPTY; side + side * side + 2 * side * (side - 2)];
         let leaf_id = |r: usize, c: usize| side + r * side + c;
 
-        // Build one tree family. `is_row == true`: row tree `t` over leaves
-        // (t, 0..side); otherwise column tree `t` over leaves (0..side, t).
-        let build_tree = |topo: &mut Topology,
-                          ports: &mut Vec<Ports>,
-                          cover_cols: &mut Vec<(u32, u32)>,
-                          cover_rows: &mut Vec<(u32, u32)>,
-                          t: usize,
-                          is_row: bool| {
-            // Heap indices 1..side are the internal nodes (heap 1 = root,
-            // coalesced with the other family's root for the same t).
-            let mut node_of = vec![usize::MAX; side.max(2)];
-            node_of[1] = t; // roots are nodes 0..side
-            #[allow(clippy::needless_range_loop)] // heap is an index into the implicit tree
-            for heap in 2..side {
-                let n = topo.add_node();
-                node_of[heap] = n;
-                grow_to(ports, cover_cols, cover_rows, topo.nodes());
-            }
-            // Edges parent -> child, child -> parent.
-            for heap in 1..side {
-                let parent = node_of[heap];
-                for (slot, child_heap) in [(0usize, 2 * heap), (1, 2 * heap + 1)] {
-                    let child = if child_heap < side {
-                        node_of[child_heap]
-                    } else {
-                        let leaf_idx = child_heap - side;
-                        if is_row {
-                            leaf_id(t, leaf_idx)
-                        } else {
-                            leaf_id(leaf_idx, t)
-                        }
-                    };
-                    let (down, up) = topo.add_duplex(parent, child);
-                    if is_row {
-                        ports[parent].row_down[slot] = Some(down);
-                        ports[child].row_up = Some(up);
-                    } else {
-                        ports[parent].col_down[slot] = Some(down);
-                        ports[child].col_up = Some(up);
-                    }
-                }
-            }
-            // Subtree covers: heap node v at depth d covers `side >> d`
-            // leaves starting at (v - 2^d)·(side >> d).
-            #[allow(clippy::needless_range_loop)] // heap is an index into the implicit tree
-            for heap in 1..side {
-                let d = heap.ilog2() as usize;
-                let width = side >> d;
-                let lo = (heap - (1 << d)) * width;
-                let n = node_of[heap];
-                if is_row {
-                    cover_cols[n] = (lo as u32, (lo + width) as u32);
-                } else {
-                    cover_rows[n] = (lo as u32, (lo + width) as u32);
-                }
-            }
-        };
-
+        // Heap indices 1..side are a tree's internal nodes (heap 1 = root,
+        // coalesced with the other family's root for the same t).
+        let mut node_of = vec![0; side];
         for t in 0..side {
-            build_tree(
-                &mut topo,
-                &mut ports,
-                &mut cover_cols,
-                &mut cover_rows,
-                t,
-                true,
-            );
-            build_tree(
-                &mut topo,
-                &mut ports,
-                &mut cover_cols,
-                &mut cover_rows,
-                t,
-                false,
-            );
-        }
-
-        // Leaf covers are their own coordinates.
-        for r in 0..side {
-            for c in 0..side {
-                let n = leaf_id(r, c);
-                cover_cols[n] = (c as u32, c as u32 + 1);
-                cover_rows[n] = (r as u32, r as u32 + 1);
+            // Row tree `t` over leaves (t, 0..side), then column tree `t`
+            // over leaves (0..side, t).
+            for f in [ROW, COL] {
+                node_of[1] = t; // roots are nodes 0..side
+                for n in &mut node_of[2..] {
+                    *n = topo.add_node();
+                }
+                for heap in 1..side {
+                    let parent = node_of[heap];
+                    for (slot, child_heap) in [(0, 2 * heap), (1, 2 * heap + 1)] {
+                        let child = match child_heap.checked_sub(side) {
+                            None => node_of[child_heap],
+                            Some(i) if f == ROW => leaf_id(t, i),
+                            Some(i) => leaf_id(i, t),
+                        };
+                        let (down, up) = topo.add_duplex(parent, child);
+                        nodes[parent].down[f][slot] = down as u32;
+                        nodes[child].up[f] = up as u32;
+                    }
+                    // Heap node v at depth d covers `side >> d` leaves
+                    // starting at (v - 2^d)·(side >> d); its children split
+                    // that range in half.
+                    let d = heap.ilog2();
+                    let width = side >> d;
+                    nodes[parent].split[f] = ((heap - (1 << d)) * width + width / 2) as u32;
+                }
             }
         }
+        debug_assert_eq!(topo.nodes(), nodes.len());
 
         MotTopology {
             side,
+            log_side: side.ilog2(),
             topo,
-            ports,
-            cover_cols,
-            cover_rows,
+            nodes,
         }
     }
 
@@ -190,31 +131,8 @@ impl MotTopology {
     /// Whether `n` is a leaf, and its `(row, col)`.
     #[inline]
     pub fn as_leaf(&self, n: NodeId) -> Option<(usize, usize)> {
-        if n >= self.side && n < self.side + self.side * self.side {
-            let idx = n - self.side;
-            Some((idx / self.side, idx % self.side))
-        } else {
-            None
-        }
-    }
-
-    /// Routing ports of node `n`.
-    #[inline]
-    pub fn ports(&self, n: NodeId) -> &Ports {
-        &self.ports[n]
-    }
-
-    /// Column interval `[lo, hi)` reachable through `n`'s row-tree
-    /// down-ports.
-    #[inline]
-    pub fn cover_cols(&self, n: NodeId) -> (u32, u32) {
-        self.cover_cols[n]
-    }
-
-    /// Row interval reachable through `n`'s column-tree down-ports.
-    #[inline]
-    pub fn cover_rows(&self, n: NodeId) -> (u32, u32) {
-        self.cover_rows[n]
+        let idx = n.wrapping_sub(self.side);
+        (idx < self.side * self.side).then_some((idx >> self.log_side, idx & (self.side - 1)))
     }
 
     /// The underlying netsim graph.
@@ -223,34 +141,38 @@ impl MotTopology {
         &self.topo
     }
 
+    /// Row-tree edge from `n` toward its root; `None` at roots and at
+    /// column-tree switches.
+    #[inline]
+    pub fn row_up(&self, n: NodeId) -> Option<EdgeId> {
+        port(self.nodes[n].up[ROW])
+    }
+
+    /// Column-tree edge from `n` toward its root; `None` at roots and at
+    /// row-tree switches.
+    #[inline]
+    pub fn col_up(&self, n: NodeId) -> Option<EdgeId> {
+        port(self.nodes[n].up[COL])
+    }
+
     /// Row-tree down-edge at `n` leading toward column `col`.
     #[inline]
     pub fn row_step_down(&self, n: NodeId, col: usize) -> EdgeId {
-        let p = &self.ports[n];
-        for slot in 0..2 {
-            let e = p.row_down[slot].expect("node has row children");
-            let (_, child) = self.topo.endpoints(e);
-            let (lo, hi) = self.cover_cols[child];
-            if (col as u32) >= lo && (col as u32) < hi {
-                return e;
-            }
-        }
-        unreachable!("column {col} not covered below node {n}")
+        self.step_down(n, ROW, col)
     }
 
     /// Column-tree down-edge at `n` leading toward row `row`.
     #[inline]
     pub fn col_step_down(&self, n: NodeId, row: usize) -> EdgeId {
-        let p = &self.ports[n];
-        for slot in 0..2 {
-            let e = p.col_down[slot].expect("node has column children");
-            let (_, child) = self.topo.endpoints(e);
-            let (lo, hi) = self.cover_rows[child];
-            if (row as u32) >= lo && (row as u32) < hi {
-                return e;
-            }
-        }
-        unreachable!("row {row} not covered below node {n}")
+        self.step_down(n, COL, row)
+    }
+
+    #[inline]
+    fn step_down(&self, n: NodeId, f: usize, coord: usize) -> EdgeId {
+        let rec = &self.nodes[n];
+        let e = rec.down[f][usize::from(coord as u32 >= rec.split[f])];
+        debug_assert!(e != NONE, "node {n} has no children in tree family {f}");
+        e as EdgeId
     }
 
     /// Switch count: nodes that are neither roots nor leaves — the "extra
@@ -261,7 +183,7 @@ impl MotTopology {
 
     /// Tree depth: hops from a root to a leaf of its tree, `log₂ side`.
     pub fn depth(&self) -> usize {
-        self.side.ilog2() as usize
+        self.log_side as usize
     }
 
     /// Length (hops) of the full request path
@@ -269,6 +191,12 @@ impl MotTopology {
     pub fn request_path_len(&self) -> usize {
         3 * self.depth()
     }
+}
+
+/// A stored port as an edge id, `None` for [`NONE`].
+#[inline]
+fn port(e: u32) -> Option<EdgeId> {
+    (e != NONE).then_some(e as EdgeId)
 }
 
 #[cfg(test)]
@@ -299,14 +227,19 @@ mod tests {
     }
 
     #[test]
+    fn node_record_is_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<NodeRecord>(), 32);
+    }
+
+    #[test]
     fn leaves_have_both_parents() {
         let mot = MotTopology::new(8);
         for r in 0..8 {
             for c in 0..8 {
-                let p = mot.ports(mot.leaf(r, c));
-                assert!(p.row_up.is_some(), "leaf ({r},{c}) lacks row parent");
-                assert!(p.col_up.is_some(), "leaf ({r},{c}) lacks col parent");
-                assert!(p.row_down[0].is_none());
+                let n = mot.leaf(r, c);
+                assert!(mot.row_up(n).is_some(), "leaf ({r},{c}) lacks row parent");
+                assert!(mot.col_up(n).is_some(), "leaf ({r},{c}) lacks col parent");
+                assert_eq!(mot.nodes[n].down, [[NONE; 2]; 2]);
             }
         }
     }
@@ -315,10 +248,9 @@ mod tests {
     fn roots_have_both_families() {
         let mot = MotTopology::new(8);
         for t in 0..8 {
-            let p = mot.ports(mot.root(t));
-            assert!(p.row_down[0].is_some() && p.row_down[1].is_some());
-            assert!(p.col_down[0].is_some() && p.col_down[1].is_some());
-            assert!(p.row_up.is_none() && p.col_up.is_none());
+            let n = mot.root(t);
+            assert!(!mot.nodes[n].down.as_flattened().contains(&NONE));
+            assert!(mot.row_up(n).is_none() && mot.col_up(n).is_none());
         }
     }
 
@@ -367,13 +299,13 @@ mod tests {
             for c in 0..side {
                 // Row ascent from leaf (r, c) ends at root r.
                 let mut node = mot.leaf(r, c);
-                while let Some(e) = mot.ports(node).row_up {
+                while let Some(e) = mot.row_up(node) {
                     node = mot.graph().endpoints(e).1;
                 }
                 assert_eq!(mot.as_root(node), Some(r));
                 // Column ascent ends at root c.
                 let mut node = mot.leaf(r, c);
-                while let Some(e) = mot.ports(node).col_up {
+                while let Some(e) = mot.col_up(node) {
                     node = mot.graph().endpoints(e).1;
                 }
                 assert_eq!(mot.as_root(node), Some(c));

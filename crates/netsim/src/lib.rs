@@ -10,33 +10,41 @@
 //!
 //! Per cycle:
 //! 1. every occupied link delivers its packet into the destination node's
-//!    queue (packets arriving at a **full** queue are dropped and reported —
-//!    this is the "collision kill" of the deterministic 2DMOT protocols);
-//! 2. every node scans its queue in FIFO order and, for each packet, asks
-//!    the behavior to [`Route`] it: a forward claims the target link if it
-//!    is free this cycle (one packet per link per cycle — otherwise the
-//!    packet stalls in place), a consume removes the packet (optionally
-//!    spawning a reply, enqueued for the next cycle), a discard drops it.
+//!    queue, in edge-id order (packets arriving at a **full** queue are
+//!    dropped and reported — this is the "collision kill" of the
+//!    deterministic 2DMOT protocols);
+//! 2. every node, in index order, scans its queue in FIFO order and, for
+//!    each packet, asks the behavior to [`Route`] it: a forward claims the
+//!    target link if it is free this cycle (one packet per link per cycle —
+//!    otherwise the packet stalls in place), a consume removes the packet,
+//!    optionally spawning a reply that waits at the node for the next cycle.
 //!
-//! A packet therefore moves at most one hop per cycle, and contention for a
+//! A node's queue at the start of the next cycle is therefore: its stalled
+//! packets (FIFO), then the replies it spawned (in spawn order), then the
+//! packets that arrive over links (in edge-id order). The capacity check in
+//! step 1 counts all three.
+//!
+//! A packet moves at most one hop per cycle, and contention for a
 //! link serializes traffic — latency and congestion are *emergent*, which is
 //! what makes the 2DMOT experiments measurements rather than formulas.
 //!
 //! Everything is deterministic: nodes are processed in index order and
 //! queues are FIFO.
 
-use std::collections::VecDeque;
-
 /// Node index in a [`Topology`].
 pub type NodeId = usize;
 /// Directed-edge index in a [`Topology`].
 pub type EdgeId = usize;
 
-/// A directed multigraph with per-node out-edge lists.
+/// A directed multigraph with per-node out-edge lists. Node and edge ids
+/// are dense and fit in `u32`.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     out: Vec<Vec<EdgeId>>,
-    edges: Vec<(NodeId, NodeId)>,
+    /// Source node of each edge.
+    tails: Vec<u32>,
+    /// Destination node of each edge — the one lookup delivery makes.
+    heads: Vec<u32>,
 }
 
 impl Topology {
@@ -47,16 +55,17 @@ impl Topology {
 
     /// Add a node; returns its id (dense, starting at 0).
     pub fn add_node(&mut self) -> NodeId {
-        self.out.push(Vec::new());
-        self.out.len() - 1
+        self.add_nodes(1)
     }
 
     /// Add `count` nodes; returns the id of the first.
     pub fn add_nodes(&mut self, count: usize) -> NodeId {
         let first = self.out.len();
-        for _ in 0..count {
-            self.out.push(Vec::new());
-        }
+        assert!(
+            first + count <= u32::MAX as usize,
+            "node ids must fit in u32"
+        );
+        self.out.resize_with(first + count, Vec::new);
         first
     }
 
@@ -66,8 +75,10 @@ impl Topology {
             from < self.out.len() && to < self.out.len(),
             "endpoints must exist"
         );
-        let id = self.edges.len();
-        self.edges.push((from, to));
+        let id = self.heads.len();
+        assert!(id < u32::MAX as usize, "edge ids must fit in u32");
+        self.tails.push(from as u32);
+        self.heads.push(to as u32);
         self.out[from].push(id);
         id
     }
@@ -85,7 +96,7 @@ impl Topology {
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.heads.len()
     }
 
     /// Out-edges of a node.
@@ -95,16 +106,16 @@ impl Topology {
 
     /// `(from, to)` of an edge.
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        self.edges[e]
+        (self.tails[e] as NodeId, self.heads[e] as NodeId)
     }
 
     /// Maximum total degree (in + out) over all nodes — the quantity the
     /// BDN/DMBDN models bound.
     pub fn max_degree(&self) -> usize {
         let mut deg = vec![0usize; self.nodes()];
-        for &(a, b) in &self.edges {
-            deg[a] += 1;
-            deg[b] += 1;
+        for (&a, &b) in self.tails.iter().zip(&self.heads) {
+            deg[a as usize] += 1;
+            deg[b as usize] += 1;
         }
         deg.into_iter().max().unwrap_or(0)
     }
@@ -137,8 +148,6 @@ pub enum Route {
     /// Final delivery at this node; [`Behavior::consume`] runs and may
     /// spawn a reply.
     Consume,
-    /// Remove the packet silently (counted in [`RunStats::discarded`]).
-    Discard,
 }
 
 /// Node behavior: pure routing decisions plus consumption.
@@ -186,57 +195,69 @@ pub struct RunStats {
     /// Packets dropped because they were routed onto a dead link
     /// (fault injection via [`Engine::fail_link`]).
     pub link_faulted: u64,
-    /// Packets discarded by behavior choice.
-    pub discarded: u64,
-    /// Largest queue occupancy observed at any node.
-    pub max_queue: usize,
 }
 
-/// The cycle engine. Owns transient state (queues, link slots); borrows a
-/// topology and a behavior per run.
+/// The cycle engine. Owns transient state; borrows a topology and a
+/// behavior per run.
 ///
-/// Work per cycle is proportional to the number of *active* nodes and
-/// occupied links, not to the size of the network — large, mostly idle
-/// meshes simulate cheaply.
+/// Packets live in a slab: each takes one slot on injection and keeps it
+/// until it is consumed or dropped (a reply reuses the slot of the packet
+/// that spawned it). Per cycle the engine moves only `u64` handle keys
+/// between three lists:
+/// * `queued` — waiting packets, `node << 32 | slot`, ordered by node and
+///   FIFO within a node;
+/// * `flight` — packets on links, `edge << 32 | slot`, sorted once per
+///   cycle so delivery runs in edge order;
+/// * `arrivals` — injections and accepted deliveries since the last
+///   routing pass, merged into `queued` behind each node's stalled
+///   packets and replies.
+///
+/// Per-node `u32` queue lengths drive the capacity check. Link claims are
+/// tracked only among the out-edges of the node being routed: only an
+/// edge's tail can claim it, and delivery empties every link. Work per
+/// cycle is proportional to the packets in the network, not to its size,
+/// and every buffer is reused, so a steady-state run allocates nothing.
 #[derive(Debug)]
 pub struct Engine<T> {
-    queues: Vec<VecDeque<T>>,
-    /// Packet in flight on each edge, delivered at the start of next cycle.
-    links: Vec<Option<T>>,
-    /// Edges with an in-flight packet.
-    occupied: Vec<EdgeId>,
-    /// Nodes with a non-empty queue (kept duplicate-free via `is_active`).
-    active: Vec<NodeId>,
-    is_active: Vec<bool>,
+    slab: Vec<Option<T>>,
+    free: Vec<u32>,
+    queued: Vec<u64>,
+    flight: Vec<u64>,
+    /// `node << 32 | seq`, where `seq` indexes `arrival_slots` (so sorting
+    /// by key keeps arrivals at one node in the order they arrived).
+    arrivals: Vec<u64>,
+    arrival_slots: Vec<u32>,
+    /// This cycle's routing pass: `queued` merged with `arrivals`.
+    round: Vec<u64>,
+    /// Replies spawned at the node being routed; they queue behind its
+    /// stalled packets.
+    replies: Vec<u64>,
+    /// Out-edges the node being routed has claimed this cycle.
+    claimed: Vec<u32>,
+    /// Packets queued at each node (stalled, replies, arrivals).
+    queue_len: Vec<u32>,
     /// Edges marked dead by fault injection; forwarding onto one drops the
     /// packet (reported with [`DropReason::DeadLink`]).
     dead_links: Vec<bool>,
     cfg: EngineConfig,
-    /// Scratch pools, recycled every cycle so a steady-state run allocates
-    /// nothing: the delivery list ping-pongs with `occupied`, the round
-    /// list with `active`, the kept-queue with each node's queue, and
-    /// `spawn_scratch` holds replies spawned mid-cycle.
-    arrive_scratch: Vec<EdgeId>,
-    round_scratch: Vec<NodeId>,
-    kept_scratch: VecDeque<T>,
-    spawn_scratch: Vec<(NodeId, T)>,
 }
 
 impl<T> Engine<T> {
     /// An engine sized for `topo`.
     pub fn new(topo: &Topology, cfg: EngineConfig) -> Self {
         Engine {
-            queues: (0..topo.nodes()).map(|_| VecDeque::new()).collect(),
-            links: (0..topo.edge_count()).map(|_| None).collect(),
-            occupied: Vec::new(),
-            active: Vec::new(),
-            is_active: vec![false; topo.nodes()],
+            slab: Vec::new(),
+            free: Vec::new(),
+            queued: Vec::new(),
+            flight: Vec::new(),
+            arrivals: Vec::new(),
+            arrival_slots: Vec::new(),
+            round: Vec::new(),
+            replies: Vec::new(),
+            claimed: Vec::new(),
+            queue_len: vec![0; topo.nodes()],
             dead_links: vec![false; topo.edge_count()],
             cfg,
-            arrive_scratch: Vec::new(),
-            round_scratch: Vec::new(),
-            kept_scratch: VecDeque::new(),
-            spawn_scratch: Vec::new(),
         }
     }
 
@@ -251,18 +272,24 @@ impl<T> Engine<T> {
         self.dead_links.iter().filter(|&&d| d).count()
     }
 
-    fn mark_active(&mut self, node: NodeId) {
-        if !self.is_active[node] {
-            self.is_active[node] = true;
-            self.active.push(node);
-        }
-    }
-
     /// Inject a packet directly into a node's queue (bypasses capacity:
     /// models work originating at the node).
     pub fn inject(&mut self, node: NodeId, packet: T) {
-        self.queues[node].push_back(packet);
-        self.mark_active(node);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(packet);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("packet slots fit in u32");
+                self.slab.push(Some(packet));
+                slot
+            }
+        };
+        self.queue_len[node] += 1;
+        self.arrivals
+            .push((node as u64) << 32 | self.arrival_slots.len() as u64);
+        self.arrival_slots.push(slot);
     }
 
     /// Run until no packet remains queued or in flight. Returns statistics;
@@ -272,111 +299,131 @@ impl<T> Engine<T> {
     ///
     /// Panics when `max_cycles` is exceeded (a protocol bug, not a
     /// condition to handle).
+    // lint: hot
     pub fn run_until_quiet<B: Behavior<T>>(
         &mut self,
         topo: &Topology,
         behavior: &mut B,
         mut on_drop: impl FnMut(T, DropReason),
     ) -> RunStats {
+        let Engine {
+            slab,
+            free,
+            queued,
+            flight,
+            arrivals,
+            arrival_slots,
+            round,
+            replies,
+            claimed,
+            queue_len,
+            dead_links,
+            cfg,
+        } = self;
+        let capacity = cfg.queue_capacity;
         let mut stats = RunStats::default();
-        let mut spawned = std::mem::take(&mut self.spawn_scratch);
-        debug_assert!(spawned.is_empty());
 
-        while !self.occupied.is_empty() || !self.active.is_empty() {
-            if stats.cycles >= self.cfg.max_cycles {
-                self.spawn_scratch = spawned;
-                panic!(
-                    "network did not quiesce within {} cycles (protocol livelock)",
-                    self.cfg.max_cycles
-                );
-            }
+        while !flight.is_empty() || !queued.is_empty() || !arrivals.is_empty() {
+            assert!(
+                stats.cycles < cfg.max_cycles,
+                "network did not quiesce within {} cycles (protocol livelock)",
+                cfg.max_cycles
+            );
             stats.cycles += 1;
 
-            // 1. Deliver in-flight packets (deterministic order). The
-            //    delivery list ping-pongs with `occupied` so neither is
-            //    reallocated in the steady state.
-            let mut arriving =
-                std::mem::replace(&mut self.occupied, std::mem::take(&mut self.arrive_scratch));
-            arriving.sort_unstable();
-            for e in arriving.drain(..) {
-                if let Some(p) = self.links[e].take() {
-                    let (_, to) = topo.endpoints(e);
-                    if self.queues[to].len() >= self.cfg.queue_capacity {
-                        stats.dropped += 1;
-                        on_drop(p, DropReason::QueueFull);
-                    } else {
-                        self.queues[to].push_back(p);
-                        stats.max_queue = stats.max_queue.max(self.queues[to].len());
-                        self.mark_active(to);
-                    }
+            // 1. Deliver in-flight packets in edge order.
+            flight.sort_unstable();
+            for &key in flight.iter() {
+                let slot = key as u32;
+                let to = topo.heads[(key >> 32) as usize] as NodeId;
+                if queue_len[to] as usize >= capacity {
+                    stats.dropped += 1;
+                    free.push(slot);
+                    on_drop(take(slab, slot), DropReason::QueueFull);
+                } else {
+                    queue_len[to] += 1;
+                    arrivals.push((to as u64) << 32 | arrival_slots.len() as u64);
+                    arrival_slots.push(slot);
                 }
             }
-            self.arrive_scratch = arriving;
+            flight.clear();
 
-            // 2. Per active node (in index order), route queued packets.
-            //    One packet per out-edge per cycle; stalled packets keep
-            //    their FIFO position.
-            let mut round =
-                std::mem::replace(&mut self.active, std::mem::take(&mut self.round_scratch));
-            round.sort_unstable();
-            for &node in &round {
-                self.is_active[node] = false;
-            }
-            for node in round.drain(..) {
-                if self.queues[node].is_empty() {
-                    continue;
+            // Each node's arrivals queue behind its stalled packets and
+            // replies: a stable merge by node.
+            arrivals.sort_unstable();
+            round.clear();
+            let mut arrived = arrivals
+                .iter()
+                .map(|&k| (k >> 32) << 32 | arrival_slots[k as u32 as usize] as u64)
+                .peekable();
+            for &key in queued.iter() {
+                while let Some(a) = arrived.next_if(|&a| a >> 32 < key >> 32) {
+                    round.push(a);
                 }
-                // Drain the node's queue into the kept-scratch deque, then
-                // swap the (now empty, capacity intact) queue buffer back
-                // into the scratch slot — FIFO order is preserved and no
-                // deque is reallocated.
-                let mut q = std::mem::take(&mut self.queues[node]);
-                let mut kept = std::mem::take(&mut self.kept_scratch);
-                debug_assert!(kept.is_empty());
-                while let Some(mut p) = q.pop_front() {
-                    match behavior.route(node, &mut p, topo) {
+                round.push(key);
+            }
+            round.extend(arrived);
+            queued.clear();
+            arrivals.clear();
+            arrival_slots.clear();
+
+            // 2. Route each node's queue: nodes in index order, FIFO within
+            //    a node, one packet per out-edge per cycle (a packet whose
+            //    link is taken stalls and keeps its FIFO position).
+            for group in round.chunk_by(|a, b| a >> 32 == b >> 32) {
+                let node = (group[0] >> 32) as NodeId;
+                claimed.clear();
+                for &key in group {
+                    let slot = key as u32;
+                    let packet = slab[slot as usize]
+                        .as_mut()
+                        .expect("queued slot holds a packet");
+                    match behavior.route(node, packet, topo) {
                         Route::Forward(e) => {
                             debug_assert_eq!(topo.endpoints(e).0, node, "edge must leave node");
-                            if self.dead_links[e] {
+                            if dead_links[e] {
                                 stats.link_faulted += 1;
-                                on_drop(p, DropReason::DeadLink);
-                            } else if self.links[e].is_none() {
-                                self.links[e] = Some(p);
-                                self.occupied.push(e);
-                                stats.hops += 1;
+                                queue_len[node] -= 1;
+                                free.push(slot);
+                                on_drop(take(slab, slot), DropReason::DeadLink);
+                            } else if claimed.contains(&(e as u32)) {
+                                queued.push(key); // stalled: link busy this cycle
                             } else {
-                                kept.push_back(p); // stalled: link busy this cycle
+                                claimed.push(e as u32);
+                                flight.push((e as u64) << 32 | slot as u64);
+                                queue_len[node] -= 1;
+                                stats.hops += 1;
                             }
                         }
                         Route::Consume => {
                             stats.delivered += 1;
-                            if let Some(reply) = behavior.consume(node, p, topo) {
-                                spawned.push((node, reply));
+                            match behavior.consume(node, take(slab, slot), topo) {
+                                Some(reply) => {
+                                    slab[slot as usize] = Some(reply);
+                                    replies.push(key);
+                                }
+                                None => {
+                                    queue_len[node] -= 1;
+                                    free.push(slot);
+                                }
                             }
-                        }
-                        Route::Discard => {
-                            stats.discarded += 1;
                         }
                     }
                 }
-                if !kept.is_empty() {
-                    self.mark_active(node);
-                }
-                self.queues[node] = kept;
-                self.kept_scratch = q;
-            }
-            self.round_scratch = round;
-
-            // 3. Enqueue replies spawned this cycle (visible next cycle).
-            for (node, p) in spawned.drain(..) {
-                self.queues[node].push_back(p);
-                stats.max_queue = stats.max_queue.max(self.queues[node].len());
-                self.mark_active(node);
+                // Replies spawned here queue behind the stalled packets.
+                queued.append(replies);
             }
         }
-        self.spawn_scratch = spawned;
         stats
     }
+}
+
+/// Move the packet out of `slot`, leaving it empty.
+#[inline]
+fn take<T>(slab: &mut [Option<T>], slot: u32) -> T {
+    slab[slot as usize]
+        .take()
+        .expect("live slot holds a packet")
 }
 
 #[cfg(test)]

@@ -169,3 +169,70 @@ fn dmmpc_access_steps_allocate_only_the_result_vector() {
     let (tot, _) = s.totals();
     assert!(tot.phases > 0, "the steps actually ran the protocol");
 }
+
+/// Routing a batch through a warm `MotNetwork` allocates nothing: the
+/// engine's packet slab and handle lists and the caller's batch buffers
+/// are all reused. Covers memory at the leaves and at the roots, and a
+/// batch whose capacity-1 queues overflow (the queue-full drop path).
+#[test]
+fn mot_routing_allocates_nothing_after_warmup() {
+    use pramsim::mot::{BatchBuffers, MotNetwork, MotRequest};
+    assert!(
+        counting::is_active(),
+        "counting allocator must be installed"
+    );
+    let side = 64;
+    // One `2dmot-hotspot`-sized phase: 11 requests from 16 processors,
+    // with a hot column.
+    let phase = |to_root: bool| -> Vec<MotRequest<usize>> {
+        (0..11)
+            .map(|i| MotRequest {
+                to_root,
+                src_root: (i * 5) % 16,
+                row: (i * 13) % side,
+                col: if i % 3 == 0 { 7 } else { (i * 29) % side },
+                payload: i,
+            })
+            .collect()
+    };
+    // Every request leaves root 0, so its capacity-1 row-tree queues
+    // overflow.
+    let crowd: Vec<MotRequest<usize>> = (0..side)
+        .map(|i| MotRequest {
+            to_root: false,
+            src_root: 0,
+            row: i,
+            col: i,
+            payload: i,
+        })
+        .collect();
+    let cases = [
+        ("leaves", MotNetwork::new(side), phase(false), 1),
+        ("roots", MotNetwork::new(side), phase(true), 1),
+        (
+            "queue-full",
+            MotNetwork::with_queue_capacity(side, 1),
+            crowd,
+            side,
+        ),
+    ];
+    for (name, mut net, template, col_limit) in cases {
+        let mut reqs = Vec::with_capacity(template.len());
+        let mut out = BatchBuffers::new();
+        let mut route = |net: &mut MotNetwork<usize>| {
+            reqs.extend(template.iter().cloned());
+            net.route_batch_into(&mut reqs, col_limit, |_, _, p| *p += 1, &mut out)
+        };
+        let warm = route(&mut net); // warm-up: buffers grow to steady state
+        assert!(warm.delivered > 0, "{name}: nothing was served");
+        if name == "queue-full" {
+            assert!(warm.dropped > 0, "{name}: the batch must overflow a queue");
+        }
+        let before = counting::thread_allocations();
+        for _ in 0..3 {
+            route(&mut net);
+        }
+        let allocs = counting::thread_allocations() - before;
+        assert_eq!(allocs, 0, "{name}: warm MotNetwork routing allocated");
+    }
+}
