@@ -3,8 +3,9 @@
 
 use cr_serve::tcp::Server;
 use cr_serve::{Service, ServiceConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 struct Client {
     reader: BufReader<TcpStream>,
@@ -159,6 +160,67 @@ fn oversized_frame_is_rejected_without_panic() {
     // The server as a whole is still alive for new connections.
     let mut c2 = Client::connect(server.local_addr());
     assert_eq!(c2.roundtrip("PING"), "OK pong");
+    server.shutdown();
+    service.shutdown();
+}
+
+/// Reads the next reply line, then asserts the server closed the
+/// connection (EOF, or a reset when the server left bytes unread).
+fn expect_err_then_close(c: &mut Client, want: &str) {
+    let mut reply = String::new();
+    c.reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), want);
+    let mut rest = Vec::new();
+    match c.reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "bytes after close: {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+}
+
+/// A `PING` frame of exactly `len` bytes (newline not included).
+fn ping_of_len(len: usize) -> Vec<u8> {
+    let mut frame = b"PING ".to_vec();
+    frame.resize(len, b'x');
+    frame
+}
+
+/// The cap bounds the whole frame, not one read: a frame over 64 KiB
+/// that arrives in two halves, with a pause longer than the server's
+/// read poll in between, is rejected exactly like one sent in a single
+/// write.
+#[test]
+fn frame_cap_spans_reads() {
+    let (service, server) = boot(1);
+    let mut c = Client::connect(server.local_addr());
+    let mut frame = ping_of_len(81_925);
+    frame.push(b'\n');
+    let (first, second) = frame.split_at(40 * 1024);
+    c.writer.write_all(first).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    // The server may already have closed on the first half alone once
+    // the cap is reached; a failed second write is part of that outcome.
+    let _ = c.writer.write_all(second);
+    expect_err_then_close(&mut c, "ERR frame exceeds 64KiB");
+    server.shutdown();
+    service.shutdown();
+}
+
+/// The exact boundary: 65,535 bytes plus the newline fit in the cap;
+/// 65,536 bytes with no newline yet do not.
+#[test]
+fn frame_cap_boundary() {
+    let (service, server) = boot(1);
+    let mut c = Client::connect(server.local_addr());
+    let mut fits = ping_of_len(65_535);
+    fits.push(b'\n');
+    c.writer.write_all(&fits).unwrap();
+    let mut reply = String::new();
+    c.reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "OK pong");
+    assert_eq!(c.roundtrip("PING"), "OK pong");
+
+    c.writer.write_all(&ping_of_len(65_536)).unwrap();
+    expect_err_then_close(&mut c, "ERR frame exceeds 64KiB");
     server.shutdown();
     service.shutdown();
 }
