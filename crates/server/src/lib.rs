@@ -19,9 +19,11 @@
 //!   the E16 experiment use; no socket in the loop);
 //! * [`tcp::Server`] — the newline-framed TCP front end
 //!   (`repro serve`);
-//! * [`protocol`] — the shared frame grammar (`OPEN`/`STEP`/`STEPN`/
-//!   `STATS`/`TRACE`/`VERIFY`/`CLOSE`/`INFO`/`METRICS`/`EVENTS`), so the
-//!   wire protocol and the in-process API cannot drift apart.
+//! * [`frame`] + [`protocol`] — the shared framing and frame grammar
+//!   (`OPEN`/`STEP`/`STEPN`/`STATS`/`TRACE`/`VERIFY`/`CLOSE`/`INFO`/
+//!   `METRICS`/`EVENTS`): [`protocol::respond`] is the one door every
+//!   frame goes through, over TCP or in `cr-sim`, so the wire protocol
+//!   and the in-process API cannot drift apart.
 //!
 //! Throughput comes from batching at every layer (DESIGN.md §11): `STEPN`
 //! batches steps into one command, [`ServiceHandle::step_many`] pipelines
@@ -65,6 +67,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod error;
+pub mod frame;
 pub mod protocol;
 pub mod runtime;
 pub mod service;
@@ -78,8 +81,8 @@ pub use cr_verify::{Coverage, VerifyMode, VerifyReport, Violation, ViolationKind
 pub use error::ServeError;
 pub use runtime::{chan, ChanRx, ChanTx, Runtime, TaskHandle, ThreadRuntime};
 pub use service::{
-    build_cores, BatchStepSummary, Service, ServiceApi, ServiceConfig, ServiceHandle, ServiceInfo,
-    DEFAULT_SWEEP_EVERY,
+    build_cores, BatchStepSummary, Service, ServiceConfig, ServiceHandle, ServiceInfo, ShardLinks,
+    Transport, DEFAULT_SWEEP_EVERY,
 };
 pub use session::{
     Session, SessionSpec, SessionStats, StepSummary, WorkloadSpec, DEFAULT_MAX_STEPS, DEFAULT_TTL,

@@ -28,13 +28,19 @@
 //! line for `EVENTS`, per-shard summaries for `INFO`. Anything
 //! unparseable yields `ERR` and leaves the connection open — a
 //! malformed frame must never take down a session or the server.
+//!
+//! [`respond`] is the serving door both drivers share: the TCP front
+//! end and `cr-sim` decode bytes with [`crate::frame::FrameDecoder`] and
+//! hand every frame to it.
 
 use cr_core::SchemeKind;
 use pram_machine::Word;
+use std::borrow::Cow;
 use std::time::Duration;
 
 use crate::error::ServeError;
-use crate::service::{ServiceApi, ServiceInfo};
+use crate::frame::FrameError;
+use crate::service::{ServiceHandle, ServiceInfo, Transport};
 use crate::session::{SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 use crate::shard::{OpenInfo, TraceInfo, VerifyInfo, VerifySummary};
 
@@ -402,11 +408,9 @@ pub fn render_err(e: &ServeError) -> String {
     format!("ERR {e}")
 }
 
-/// Execute one parsed frame against any [`ServiceApi`] implementation;
-/// `None` means QUIT. The TCP front end passes a [`crate::ServiceHandle`];
-/// `cr-sim` passes its single-threaded simulated service — one executor,
-/// one reply grammar, whatever is behind it.
-pub fn execute<A: ServiceApi>(handle: &mut A, frame: Frame) -> Option<String> {
+/// Execute one parsed frame against a [`ServiceHandle`] over any
+/// transport; `None` means QUIT.
+pub fn execute<T: Transport>(handle: &ServiceHandle<T>, frame: Frame) -> Option<String> {
     let out = match frame {
         Frame::Open(spec) => handle.open(spec).map(|i| render_open(&i)),
         Frame::Step {
@@ -426,6 +430,34 @@ pub fn execute<A: ServiceApi>(handle: &mut A, frame: Frame) -> Option<String> {
         Frame::Quit => return None,
     };
     Some(out.unwrap_or_else(|e| render_err(&e)))
+}
+
+/// One frame's answer: the reply line to send, and whether the
+/// connection closes after it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    /// The reply, without its trailing newline.
+    pub reply: String,
+    /// Close the connection once the reply is sent.
+    pub close: bool,
+}
+
+/// Answer one decoded frame. A parse error is an `ERR` reply on a live
+/// connection; `QUIT` is `OK bye`, then close; a frame the decoder
+/// refused is an `ERR` reply, then close (sessions survive either way).
+pub fn respond<T: Transport>(
+    handle: &ServiceHandle<T>,
+    frame: Result<Cow<'_, str>, FrameError>,
+) -> Response {
+    let (reply, close) = match frame.map(|line| parse(&line)) {
+        Ok(Ok(frame)) => match execute(handle, frame) {
+            Some(reply) => (reply, false),
+            None => ("OK bye".to_string(), true),
+        },
+        Ok(Err(msg)) => (format!("ERR {msg}"), false),
+        Err(e) => (format!("ERR {e}"), true),
+    };
+    Response { reply, close }
 }
 
 #[cfg(test)]

@@ -1,6 +1,14 @@
 //! The session service: N shards, hash routing, and the in-process
-//! [`ServiceHandle`] API that tests, benches, and the TCP front end all
-//! share.
+//! [`ServiceHandle`] API that tests, benches, the TCP front end, and
+//! `cr-sim` all share.
+//!
+//! The handle reaches its shards through a [`Transport`]: how many
+//! shards there are, and how one command gets to one of them and its
+//! reply comes back. [`ShardLinks`] is the threaded transport (one
+//! bounded queue per shard worker); `cr-sim` plugs in a transport that
+//! owns its [`ShardCore`]s and handles each command inline. Every typed
+//! command (`open`, `step`, `verify`, …) has one body, generic over the
+//! transport.
 //!
 //! Sessions are hash-routed: session ids come from one global counter and
 //! `shard_of(sid) = mix64(sid) mod shards`, so placement is uniform
@@ -26,7 +34,7 @@ use crate::error::ServeError;
 use crate::runtime::{chan, ChanTx, Runtime, TaskHandle, ThreadRuntime};
 use crate::session::{SessionSpec, SessionStats, StepSummary, WorkloadSpec};
 use crate::shard::{
-    spawn_shard, OpenInfo, Reply, ShardCmd, ShardCore, ShardMetrics, ShardObs, TraceInfo,
+    spawn_shard, OpenInfo, Reply, ReplyTx, ShardCmd, ShardCore, ShardMetrics, ShardObs, TraceInfo,
     VerifyInfo, VerifySummary, EVENTS_CAPACITY, QUEUE_CAPACITY,
 };
 
@@ -77,7 +85,7 @@ impl ServiceConfig {
 }
 
 /// Merged service-wide counters (`INFO`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceInfo {
     /// Shard count.
     pub shards: usize,
@@ -99,40 +107,49 @@ pub struct ServiceInfo {
     pub per_shard: Vec<ShardMetrics>,
 }
 
-impl ServiceInfo {
-    /// Merge per-shard snapshots into the service-wide view — shared by
-    /// the threaded handle's `INFO` and `cr-sim`'s, so the two cannot
-    /// drift.
-    pub fn from_shards(per_shard: Vec<ShardMetrics>) -> ServiceInfo {
-        let mut info = ServiceInfo {
-            shards: per_shard.len(),
-            sessions: 0,
-            opened: 0,
-            closed: 0,
-            evicted: 0,
-            steps: 0,
-            queue_depth_max: 0,
-            latency: Histogram::new(),
-            per_shard: Vec::new(),
-        };
-        for m in &per_shard {
-            info.sessions += m.sessions;
-            info.opened += m.opened;
-            info.closed += m.closed;
-            info.evicted += m.evicted;
-            info.steps += m.steps;
-            info.queue_depth_max = info.queue_depth_max.max(m.queue_depth);
-            info.latency.merge(&m.latency);
-        }
-        info.per_shard = per_shard;
-        info
-    }
-}
-
 struct ShardLink {
     tx: ChanTx<ShardCmd>,
     /// The same gauge the shard's worker decrements on dequeue.
     queue_depth: Gauge,
+}
+
+/// The seam between a [`ServiceHandle`] and its shards.
+pub trait Transport {
+    /// Shard count.
+    fn shards(&self) -> usize;
+    /// Hand `shard` the command `make` builds around a reply channel,
+    /// and wait for the reply. A missing or dead shard is
+    /// [`ServeError::ShardDown`].
+    fn call(
+        &self,
+        shard: usize,
+        make: impl FnOnce(ReplyTx) -> ShardCmd,
+    ) -> Result<Reply, ServeError>;
+}
+
+/// The threaded transport: one bounded command queue per shard worker.
+#[derive(Clone)]
+pub struct ShardLinks(Arc<Vec<ShardLink>>);
+
+impl Transport for ShardLinks {
+    fn shards(&self) -> usize {
+        self.0.len()
+    }
+
+    fn call(
+        &self,
+        shard: usize,
+        make: impl FnOnce(ReplyTx) -> ShardCmd,
+    ) -> Result<Reply, ServeError> {
+        let link = self.0.get(shard).ok_or(ServeError::ShardDown)?;
+        let (reply_tx, reply_rx) = chan(1);
+        link.queue_depth.add(1);
+        if link.tx.send(make(reply_tx)).is_err() {
+            link.queue_depth.sub(1);
+            return Err(ServeError::ShardDown);
+        }
+        reply_rx.recv().map_err(|_| ServeError::ShardDown)?
+    }
 }
 
 /// What one [`ServiceHandle::step_many`] batch executed, summed over its
@@ -160,10 +177,12 @@ pub struct BatchStepSummary {
     pub exhausted: u64,
 }
 
-/// The cheap, cloneable client face of the service.
+/// The client face of the service, over any [`Transport`]. With the
+/// default threaded transport it is cheap to clone: one clone per
+/// load-generator thread or TCP connection.
 #[derive(Clone)]
-pub struct ServiceHandle {
-    shards: Arc<Vec<ShardLink>>,
+pub struct ServiceHandle<T = ShardLinks> {
+    transport: T,
     next_sid: Arc<AtomicU64>,
     registry: Arc<Registry>,
 }
@@ -317,11 +336,7 @@ impl Service {
             });
         }
         Ok(Service {
-            handle: ServiceHandle {
-                shards: Arc::new(links),
-                next_sid: Arc::new(AtomicU64::new(1)),
-                registry: Arc::new(registry),
-            },
+            handle: ServiceHandle::new(ShardLinks(Arc::new(links)), registry),
             workers,
         })
     }
@@ -333,7 +348,7 @@ impl Service {
 
     /// Stop every shard worker and join them.
     pub fn shutdown(mut self) {
-        for link in self.handle.shards.iter() {
+        for link in self.handle.transport.0.iter() {
             let _ = link.tx.send(ShardCmd::Shutdown);
         }
         for w in self.workers.drain(..) {
@@ -342,40 +357,57 @@ impl Service {
     }
 }
 
-impl ServiceHandle {
+/// The payload of the `Reply::$variant` a call returned; any other
+/// reply means the shard did not answer the command it was sent.
+macro_rules! expect_reply {
+    ($reply:expr, $variant:ident) => {
+        match $reply? {
+            Reply::$variant(payload) => Ok(payload),
+            _ => Err(ServeError::ShardDown),
+        }
+    };
+}
+
+impl<T: Transport> ServiceHandle<T> {
+    /// A handle over `transport`, whose shards record into `registry`
+    /// (both from [`build_cores`]). Session ids start at 1.
+    pub fn new(transport: T, registry: Registry) -> ServiceHandle<T> {
+        ServiceHandle {
+            transport,
+            next_sid: Arc::new(AtomicU64::new(1)),
+            registry: Arc::new(registry),
+        }
+    }
+
+    /// The transport the handle talks through.
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
     /// Shard count.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.transport.shards()
     }
 
     /// Which shard owns a session id.
     pub fn shard_of(&self, sid: u64) -> usize {
-        (simrng::mix64(sid) % self.shards.len() as u64) as usize
+        (simrng::mix64(sid) % self.shards() as u64) as usize
     }
 
-    fn call(
+    /// Send a command to the shard that owns `sid`.
+    fn call_owner(
         &self,
-        shard: usize,
-        make: impl FnOnce(super::shard::ReplyTx) -> ShardCmd,
+        sid: u64,
+        make: impl FnOnce(ReplyTx) -> ShardCmd,
     ) -> Result<Reply, ServeError> {
-        let link = self.shards.get(shard).ok_or(ServeError::ShardDown)?;
-        let (reply_tx, reply_rx) = chan(1);
-        link.queue_depth.add(1);
-        if link.tx.send(make(reply_tx)).is_err() {
-            link.queue_depth.sub(1);
-            return Err(ServeError::ShardDown);
-        }
-        reply_rx.recv().map_err(|_| ServeError::ShardDown)?
+        self.transport.call(self.shard_of(sid), make)
     }
 
     /// Open a session; returns its id and built-scheme facts.
     pub fn open(&self, spec: SessionSpec) -> Result<OpenInfo, ServeError> {
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard_of(sid);
-        match self.call(shard, |reply| ShardCmd::Open { sid, spec, reply })? {
-            Reply::Open(info) => Ok(info),
-            _ => Err(ServeError::ShardDown),
-        }
+        let open = |reply| ShardCmd::Open { sid, spec, reply };
+        expect_reply!(self.call_owner(sid, open), Open)
     }
 
     /// Drive `count` steps of `workload` through a session.
@@ -385,17 +417,118 @@ impl ServiceHandle {
         workload: WorkloadSpec,
         count: u64,
     ) -> Result<StepSummary, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Step {
+        let step = |reply| ShardCmd::Step {
             sid,
             workload,
             count,
             reply,
-        })? {
-            Reply::Step(sum) => Ok(sum),
-            _ => Err(ServeError::ShardDown),
-        }
+        };
+        expect_reply!(self.call_owner(sid, step), Step)
     }
 
+    /// Aggregate session counters.
+    pub fn stats(&self, sid: u64) -> Result<SessionStats, ServeError> {
+        let stats = |reply| ShardCmd::Stats { sid, reply };
+        expect_reply!(self.call_owner(sid, stats), Stats)
+    }
+
+    /// The session's running trace hash.
+    pub fn trace(&self, sid: u64) -> Result<TraceInfo, ServeError> {
+        let trace = |reply| ShardCmd::Trace { sid, reply };
+        expect_reply!(self.call_owner(sid, trace), Trace)
+    }
+
+    /// Close a session; returns its final trace.
+    pub fn close(&self, sid: u64) -> Result<TraceInfo, ServeError> {
+        let close = |reply| ShardCmd::Close { sid, reply };
+        expect_reply!(self.call_owner(sid, close), Close)
+    }
+
+    /// The live metrics registry (totals and merged histograms without
+    /// parsing the exposition text).
+    pub fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    /// Prometheus-style text exposition of every registered family —
+    /// the `METRICS` verb's payload.
+    pub fn metrics_text(&self) -> String {
+        self.registry.render()
+    }
+
+    /// Structured trace events: one session's (`Some(sid)`, served by
+    /// its owning shard) or the whole service's (`None`: all shards,
+    /// stably sorted by sid). A session's events live on exactly one
+    /// shard in execution order, so the per-sid stream — and therefore
+    /// the stable-sorted merge — is shard-count-invariant.
+    pub fn events(&self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {
+        if let Some(sid) = sid {
+            let events = |reply| ShardCmd::Events {
+                sid: Some(sid),
+                reply,
+            };
+            return expect_reply!(self.call_owner(sid, events), Events);
+        }
+        let mut all = Vec::new();
+        for shard in 0..self.shards() {
+            let events = |reply| ShardCmd::Events { sid: None, reply };
+            all.extend(expect_reply!(self.transport.call(shard, events), Events)?);
+        }
+        all.sort_by_key(|e| e.sid);
+        Ok(all)
+    }
+
+    /// One session's PRAM-consistency verdict (`VERIFY <sid>`), served
+    /// by its owning shard. The reply carries no shard- or time-derived
+    /// fields, so under a manual clock it is byte-identical at any
+    /// shard count — the cross-shard determinism test pins this.
+    pub fn verify(&self, sid: u64) -> Result<VerifyInfo, ServeError> {
+        let verify = |reply| ShardCmd::Verify {
+            sid: Some(sid),
+            reply,
+        };
+        expect_reply!(self.call_owner(sid, verify), Verify)
+    }
+
+    /// Service-wide self-check (bare `VERIFY`): every shard summarizes
+    /// the sessions it owns, merged here. The CI verify leg asserts
+    /// `violations=0` on this without knowing any session id.
+    pub fn verify_all(&self) -> Result<VerifySummary, ServeError> {
+        let mut sum = VerifySummary::default();
+        for shard in 0..self.shards() {
+            let verify = |reply| ShardCmd::Verify { sid: None, reply };
+            sum.merge(&expect_reply!(
+                self.transport.call(shard, verify),
+                VerifySummary
+            )?);
+        }
+        Ok(sum)
+    }
+
+    /// Merged service-wide counters and latency histogram, plus the
+    /// per-shard snapshots they were merged from.
+    pub fn info(&self) -> Result<ServiceInfo, ServeError> {
+        let mut info = ServiceInfo {
+            shards: self.shards(),
+            ..ServiceInfo::default()
+        };
+        for shard in 0..self.shards() {
+            let metrics = |reply| ShardCmd::Metrics { reply };
+            let m = *expect_reply!(self.transport.call(shard, metrics), Metrics)?;
+            info.sessions += m.sessions;
+            info.opened += m.opened;
+            info.closed += m.closed;
+            info.evicted += m.evicted;
+            info.steps += m.steps;
+            info.queue_depth_max = info.queue_depth_max.max(m.queue_depth);
+            info.latency.merge(&m.latency);
+            info.per_shard.push(m);
+        }
+        Ok(info)
+    }
+}
+
+impl ServiceHandle<ShardLinks> {
     /// Drive `count` steps of `workload` through every session in `sids`,
     /// issuing all commands before collecting any reply — the in-process
     /// pipelining behind batched load generation and the serve bench.
@@ -417,7 +550,8 @@ impl ServiceHandle {
         let mut sent = 0usize;
         for &sid in sids {
             let link = self
-                .shards
+                .transport
+                .0
                 .get(self.shard_of(sid))
                 .ok_or(ServeError::ShardDown)?;
             link.queue_depth.add(1);
@@ -451,182 +585,5 @@ impl ServiceHandle {
             }
         }
         Ok(sum)
-    }
-
-    /// Aggregate session counters.
-    pub fn stats(&self, sid: u64) -> Result<SessionStats, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Stats { sid, reply })? {
-            Reply::Stats(st) => Ok(st),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    /// The session's running trace hash.
-    pub fn trace(&self, sid: u64) -> Result<TraceInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Trace { sid, reply })? {
-            Reply::Trace(t) => Ok(t),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    /// Close a session; returns its final trace.
-    pub fn close(&self, sid: u64) -> Result<TraceInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Close { sid, reply })? {
-            Reply::Close(t) => Ok(t),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    /// The live metrics registry (totals and merged histograms without
-    /// parsing the exposition text).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Prometheus-style text exposition of every registered family —
-    /// the `METRICS` verb's payload.
-    pub fn metrics_text(&self) -> String {
-        self.registry.render()
-    }
-
-    /// Structured trace events: one session's (`Some(sid)`, served by
-    /// its owning shard) or the whole service's (`None`: all shards,
-    /// stably sorted by sid). A session's events live on exactly one
-    /// shard in execution order, so the per-sid stream — and therefore
-    /// the stable-sorted merge — is shard-count-invariant.
-    pub fn events(&self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {
-        if let Some(s) = sid {
-            return match self.call(self.shard_of(s), |reply| ShardCmd::Events {
-                sid: Some(s),
-                reply,
-            })? {
-                Reply::Events(evs) => Ok(evs),
-                _ => Err(ServeError::ShardDown),
-            };
-        }
-        let mut all = Vec::new();
-        for shard in 0..self.shards.len() {
-            match self.call(shard, |reply| ShardCmd::Events { sid: None, reply })? {
-                Reply::Events(evs) => all.extend(evs),
-                _ => return Err(ServeError::ShardDown),
-            }
-        }
-        all.sort_by_key(|e| e.sid);
-        Ok(all)
-    }
-
-    /// One session's PRAM-consistency verdict (`VERIFY <sid>`), served
-    /// by its owning shard. The reply carries no shard- or time-derived
-    /// fields, so under a manual clock it is byte-identical at any
-    /// shard count — the cross-shard determinism test pins this.
-    pub fn verify(&self, sid: u64) -> Result<VerifyInfo, ServeError> {
-        match self.call(self.shard_of(sid), |reply| ShardCmd::Verify {
-            sid: Some(sid),
-            reply,
-        })? {
-            Reply::Verify(info) => Ok(info),
-            _ => Err(ServeError::ShardDown),
-        }
-    }
-
-    /// Service-wide self-check (bare `VERIFY`): every shard summarizes
-    /// the sessions it owns, merged here. The CI verify leg asserts
-    /// `violations=0` on this without knowing any session id.
-    pub fn verify_all(&self) -> Result<VerifySummary, ServeError> {
-        let mut sum = VerifySummary::default();
-        for shard in 0..self.shards.len() {
-            match self.call(shard, |reply| ShardCmd::Verify { sid: None, reply })? {
-                Reply::VerifySummary(s) => sum.merge(&s),
-                _ => return Err(ServeError::ShardDown),
-            }
-        }
-        Ok(sum)
-    }
-
-    /// Merged service-wide counters and latency histogram.
-    pub fn info(&self) -> Result<ServiceInfo, ServeError> {
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
-            match self.call(shard, |reply| ShardCmd::Metrics { reply })? {
-                Reply::Metrics(m) => per_shard.push(*m),
-                _ => return Err(ServeError::ShardDown),
-            }
-        }
-        Ok(ServiceInfo::from_shards(per_shard))
-    }
-}
-
-/// The service surface the wire protocol executes against
-/// ([`crate::protocol::execute`]): everything a `OPEN`/`STEP`/…/`EVENTS`
-/// frame can reach, behind one trait so the TCP front end (backed by a
-/// threaded [`ServiceHandle`]) and `cr-sim`'s single-threaded simulated
-/// service run the *identical* parser, executor, and reply rendering.
-///
-/// Methods take `&mut self`: a simulated service mutates its cores
-/// in place, while the thread-backed handle simply ignores the
-/// exclusivity (its state is behind `Arc`s).
-pub trait ServiceApi {
-    /// Open a session (`OPEN`).
-    fn open(&mut self, spec: SessionSpec) -> Result<OpenInfo, ServeError>;
-    /// Step a session (`STEP`/`STEPN`).
-    fn step(
-        &mut self,
-        sid: u64,
-        workload: WorkloadSpec,
-        count: u64,
-    ) -> Result<StepSummary, ServeError>;
-    /// Aggregate session counters (`STATS`).
-    fn stats(&mut self, sid: u64) -> Result<SessionStats, ServeError>;
-    /// The running trace hash (`TRACE`).
-    fn trace(&mut self, sid: u64) -> Result<TraceInfo, ServeError>;
-    /// One session's PRAM verdict (`VERIFY <sid>`).
-    fn verify(&mut self, sid: u64) -> Result<VerifyInfo, ServeError>;
-    /// The service-wide self-check (bare `VERIFY`).
-    fn verify_all(&mut self) -> Result<VerifySummary, ServeError>;
-    /// Close a session (`CLOSE`).
-    fn close(&mut self, sid: u64) -> Result<TraceInfo, ServeError>;
-    /// Merged service counters (`INFO`).
-    fn info(&mut self) -> Result<ServiceInfo, ServeError>;
-    /// Prometheus exposition text (`METRICS`).
-    fn metrics_text(&mut self) -> String;
-    /// Structured trace events (`EVENTS [sid]`).
-    fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError>;
-}
-
-impl ServiceApi for ServiceHandle {
-    fn open(&mut self, spec: SessionSpec) -> Result<OpenInfo, ServeError> {
-        ServiceHandle::open(self, spec)
-    }
-    fn step(
-        &mut self,
-        sid: u64,
-        workload: WorkloadSpec,
-        count: u64,
-    ) -> Result<StepSummary, ServeError> {
-        ServiceHandle::step(self, sid, workload, count)
-    }
-    fn stats(&mut self, sid: u64) -> Result<SessionStats, ServeError> {
-        ServiceHandle::stats(self, sid)
-    }
-    fn trace(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
-        ServiceHandle::trace(self, sid)
-    }
-    fn verify(&mut self, sid: u64) -> Result<VerifyInfo, ServeError> {
-        ServiceHandle::verify(self, sid)
-    }
-    fn verify_all(&mut self) -> Result<VerifySummary, ServeError> {
-        ServiceHandle::verify_all(self)
-    }
-    fn close(&mut self, sid: u64) -> Result<TraceInfo, ServeError> {
-        ServiceHandle::close(self, sid)
-    }
-    fn info(&mut self) -> Result<ServiceInfo, ServeError> {
-        ServiceHandle::info(self)
-    }
-    fn metrics_text(&mut self) -> String {
-        ServiceHandle::metrics_text(self)
-    }
-    fn events(&mut self, sid: Option<u64>) -> Result<Vec<Event>, ServeError> {
-        ServiceHandle::events(self, sid)
     }
 }

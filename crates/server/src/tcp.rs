@@ -3,9 +3,12 @@
 //!
 //! Every connection thread holds its own clone of the [`ServiceHandle`],
 //! so frames go straight from the socket to the owning shard's queue —
-//! the accept loop never touches a session. Frames are capped at
-//! [`MAX_FRAME`] bytes; an overlong or unparseable line gets an `ERR`
-//! reply (and, for overlong, a disconnect) — never a panic.
+//! the accept loop never touches a session. A connection is the socket
+//! plus the two pieces `cr-sim` drives too: bytes go through a
+//! [`FrameDecoder`] and every frame through [`respond`]. An unparseable
+//! frame gets an `ERR` reply; a frame over [`MAX_FRAME`](crate::frame::MAX_FRAME)
+//! bytes, however many reads it spans, gets an `ERR` reply and a
+//! disconnect — never a panic.
 //!
 //! Replies are written as rendered plus one trailing newline. Multi-line
 //! replies (`INFO`, `METRICS`, `EVENTS`) embed their payload newlines in
@@ -15,23 +18,21 @@
 //!
 //! The loop supports pipelining: clients may send a window of frames
 //! without waiting, and replies come back one line per frame, in order.
-//! Replies go through a [`BufWriter`] that is flushed only when the read
-//! buffer holds no further complete frame — a pipelined window costs one
+//! Replies go through a [`BufWriter`] that is flushed only when the
+//! decoder holds no further complete frame — a pipelined window costs one
 //! write syscall, while a ping-pong client still sees every reply flushed
 //! before the loop blocks on the socket again.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::protocol::{execute, parse};
+use crate::frame::FrameDecoder;
+use crate::protocol::respond;
 use crate::runtime::{Runtime, TaskHandle, ThreadRuntime};
 use crate::service::ServiceHandle;
-
-/// Longest accepted frame line (bytes, including the newline).
-pub const MAX_FRAME: u64 = 64 * 1024;
 
 /// How often blocked socket reads / the accept loop re-check shutdown.
 const POLL: Duration = Duration::from_millis(50);
@@ -48,8 +49,8 @@ impl Server {
     /// start accepting connections against `handle`'s service. The
     /// accept loop and every connection run on the production
     /// [`ThreadRuntime`] — the TCP front end is inherently an OS-thread
-    /// affair; `cr-sim` simulates framed clients above the protocol
-    /// layer instead of through sockets.
+    /// affair; `cr-sim` drives the same decoder and [`respond`] with
+    /// simulated clients instead of sockets.
     pub fn bind<A: ToSocketAddrs>(addr: A, handle: ServiceHandle) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -78,11 +79,8 @@ impl Server {
 
     /// Stop accepting and join the accept loop. Live connection threads
     /// exit on their next poll tick.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            t.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
@@ -124,7 +122,7 @@ fn accept_loop(
     }
 }
 
-fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<AtomicBool>) {
+fn connection_loop(mut stream: TcpStream, handle: ServiceHandle, stop: Arc<AtomicBool>) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
@@ -132,73 +130,40 @@ fn connection_loop(stream: TcpStream, mut handle: ServiceHandle, stop: Arc<Atomi
         Ok(w) => BufWriter::new(w),
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    // Partial lines survive read timeouts: `buf` accumulates until a
-    // newline (or EOF) completes the frame.
-    let mut buf: Vec<u8> = Vec::new();
+    // Partial frames survive read timeouts: the decoder holds them until
+    // a newline (or EOF) completes them.
+    let mut frames = FrameDecoder::new();
+    let mut at_eof = false;
     while !stop.load(Ordering::Relaxed) {
-        let mut at_eof = false;
-        match (&mut reader).take(MAX_FRAME).read_until(b'\n', &mut buf) {
-            Ok(0) if buf.is_empty() => return, // client closed cleanly
-            Ok(0) => at_eof = true,            // final line without newline
-            Ok(_) if !buf.ends_with(b"\n") => {
-                if buf.len() as u64 >= MAX_FRAME {
-                    let _ = writer.write_all(b"ERR frame exceeds 64KiB\n");
-                    let _ = writer.flush();
-                    return;
-                }
-                at_eof = true; // read_until returned short of EOF: stream end
+        while let Some(frame) = frames.next_frame() {
+            let out = respond(&handle, frame);
+            let sent = writer
+                .write_all(out.reply.as_bytes())
+                .and_then(|_| writer.write_all(b"\n"));
+            if sent.is_err() || out.close {
+                let _ = writer.flush();
+                return;
+            }
+        }
+        // Pipelining seam: the whole answered window goes out in one
+        // syscall, once the client would actually have to wait for it.
+        if writer.flush().is_err() || at_eof {
+            return;
+        }
+        match frames.read_from(&mut stream) {
+            Ok(0) => {
+                // The final line may lack its newline.
+                frames.finish();
+                at_eof = true;
             }
             Ok(_) => {}
+            // Idle or mid-frame: keep the partial frame, re-check stop.
             Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if buf.len() as u64 >= MAX_FRAME {
-                    let _ = writer.write_all(b"ERR frame exceeds 64KiB\n");
-                    let _ = writer.flush();
-                    return;
-                }
-                continue; // idle or mid-line: keep the partial frame, re-check stop
-            }
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
             Err(_) => return,
-        }
-        let line = String::from_utf8_lossy(&buf);
-        let line = line.trim();
-        let reply = if line.is_empty() {
-            None
-        } else {
-            match parse(line) {
-                Ok(frame) => match execute(&mut handle, frame) {
-                    Some(reply) => Some(reply),
-                    None => {
-                        let _ = writer.write_all(b"OK bye\n");
-                        let _ = writer.flush();
-                        return;
-                    }
-                },
-                Err(msg) => Some(format!("ERR {msg}")),
-            }
-        };
-        buf.clear();
-        if let Some(reply) = reply {
-            if writer
-                .write_all(reply.as_bytes())
-                .and_then(|_| writer.write_all(b"\n"))
-                .is_err()
-            {
-                return;
-            }
-            // Pipelining seam: while the read buffer already holds the
-            // next complete frame, keep the reply buffered — the whole
-            // window flushes in one syscall once the client would
-            // actually have to wait for it.
-            if !reader.buffer().contains(&b'\n') && writer.flush().is_err() {
-                return;
-            }
-        }
-        if at_eof {
-            return;
         }
     }
 }

@@ -1,14 +1,13 @@
 //! Seeded chaos injection (BUGGIFY-style): each chaos tick draws from
 //! its own rng and maybe perturbs the service — crash a shard (with a
-//! scheduled restart), reproduce a queue-full storm, flood the parser
-//! with malformed/oversized frames, or park a client past its session's
+//! scheduled restart), reproduce a queue-full storm, flood the serving
+//! door with malformed/oversized frames, or park a client past its session's
 //! TTL so the sweeper evicts it under the client's feet.
 //!
 //! Everything is derived from the run seed, so a failing seed replays
 //! the identical fault schedule: same tick, same victim, same frames.
 
-use cr_serve::protocol::parse;
-use cr_serve::tcp::MAX_FRAME;
+use cr_serve::frame::{FrameDecoder, MAX_FRAME};
 use simrng::{Rng, Xoshiro256pp};
 use std::time::Duration;
 
@@ -51,11 +50,12 @@ pub struct ChaosTally {
     pub storms: u64,
     /// Queue-full incidents those storms recorded.
     pub queue_full: u64,
-    /// Malformed frames the parser rejected.
+    /// Malformed frames answered with `ERR`.
     pub malformed_rejected: u64,
-    /// Malformed frames the parser *accepted* (must stay 0).
+    /// Malformed or oversized frames answered with anything else (must
+    /// stay 0).
     pub malformed_accepted: u64,
-    /// Oversized frames rejected at the framing layer.
+    /// Oversized frames answered with `ERR` and a close.
     pub oversized_rejected: u64,
     /// Clients parked past their TTL (eviction races).
     pub stalls: u64,
@@ -74,11 +74,7 @@ pub struct Chaos {
 impl Chaos {
     /// A fresh injector over its own seeded stream.
     pub fn new(rng: Xoshiro256pp) -> Chaos {
-        let mut oversized = String::with_capacity(MAX_FRAME as usize + 1);
-        oversized.push_str("STEPN 1 ");
-        while oversized.len() as u64 <= MAX_FRAME {
-            oversized.push('9');
-        }
+        let oversized = format!("STEPN 1 {}", "9".repeat(MAX_FRAME + 1 - 8));
         Chaos {
             rng,
             oversized,
@@ -90,7 +86,7 @@ impl Chaos {
     /// deadline for a crashed shard, if one was taken down.
     pub fn tick(
         &mut self,
-        service: &mut SimService,
+        service: &SimService,
         clients: &mut [SimClient],
         now_ns: u64,
         ttl: Duration,
@@ -98,7 +94,7 @@ impl Chaos {
         let mut restart = None;
         if self.rng.chance(P_CRASH) {
             let shard = self.rng.index(service.shards());
-            if let Some(lost) = service.crash(shard) {
+            if let Some(lost) = service.transport().crash(shard) {
                 self.tally.crashes += 1;
                 self.tally.sessions_lost += lost as u64;
                 // Recover well within the run: 300µs–1ms of downtime.
@@ -109,26 +105,33 @@ impl Chaos {
         if self.rng.chance(P_STORM) {
             let shard = self.rng.index(service.shards());
             let burst = 4 + self.rng.below(12);
-            let hits = service.queue_storm(shard, burst);
+            let hits = service.transport().queue_storm(shard, burst);
             if hits > 0 {
                 self.tally.storms += 1;
                 self.tally.queue_full += hits;
             }
         }
         if self.rng.chance(P_MALFORMED) {
+            // One hostile connection per flood, through the same door
+            // as every client frame.
+            let mut conn = FrameDecoder::new();
             for _ in 0..=self.rng.below(3) {
                 let line = GARBAGE[self.rng.index(GARBAGE.len())];
-                match parse(line) {
-                    Err(_) => self.tally.malformed_rejected += 1,
-                    Ok(_) => self.tally.malformed_accepted += 1,
+                for out in deliver(service, &mut conn, format!("{line}\n").as_bytes()) {
+                    if out.reply.starts_with("ERR ") {
+                        self.tally.malformed_rejected += 1;
+                    } else {
+                        self.tally.malformed_accepted += 1;
+                    }
                 }
             }
-            // An oversized frame must be cut off at the framing layer
-            // before the parser ever sees it.
-            if deliver(service, &self.oversized).starts_with("ERR frame exceeds") {
-                self.tally.oversized_rejected += 1;
-            } else {
-                self.tally.malformed_accepted += 1;
+            // An oversized frame, on a fresh connection, must be cut off
+            // by the decoder before the parser ever sees it.
+            match deliver(service, &mut FrameDecoder::new(), self.oversized.as_bytes()).as_slice() {
+                [out] if out.close && out.reply.starts_with("ERR ") => {
+                    self.tally.oversized_rejected += 1
+                }
+                _ => self.tally.malformed_accepted += 1,
             }
         }
         if self.rng.chance(P_STALL) {

@@ -1,7 +1,9 @@
-//! Simulated framed clients: each one speaks the real wire grammar
-//! (`OPEN`/`STEPN`/`STATS`/`TRACE`/`VERIFY`/`CLOSE`) through
-//! `cr_serve::protocol::{parse, execute}` against the [`SimService`] —
-//! no sockets, but the byte-level protocol surface is fully exercised.
+//! Simulated framed clients: each one writes the real wire grammar
+//! (`OPEN`/`STEPN`/`STATS`/`TRACE`/`VERIFY`/`CLOSE`) as bytes on its own
+//! simulated connection, and [`deliver`] takes them through the serving
+//! door a TCP connection uses — `cr_serve::frame::FrameDecoder`, then
+//! `cr_serve::protocol::respond` — against the [`SimService`]. Only the
+//! socket is missing.
 //!
 //! A client is a seeded state machine: open a session, drive its step
 //! budget in random-sized `STEPN` chunks with occasional `STATS`/`TRACE`
@@ -10,25 +12,27 @@
 //! client's own forked rng, so two clients never share a stream and one
 //! seed pins every frame of every client.
 
-use cr_serve::protocol::{execute, parse};
-use cr_serve::tcp::MAX_FRAME;
+use cr_serve::frame::FrameDecoder;
+use cr_serve::protocol::{respond, Response};
 use simrng::{mix64, rng_from_seed, Rng, Xoshiro256pp};
 use std::time::Duration;
 
 use crate::service::SimService;
 
-/// The sim's framing layer: exactly what the TCP front end does to a
-/// received line before the shared parser sees it — reject frames at or
-/// past [`MAX_FRAME`] bytes, trim, parse, execute. Chaos floods and
-/// clients go through the same door.
-pub fn deliver(service: &mut SimService, line: &str) -> String {
-    if line.len() as u64 >= MAX_FRAME {
-        return "ERR frame exceeds 64KiB".to_string();
+/// Write `bytes` on the connection whose receive side is `conn`, and
+/// answer every frame they complete, in order — what the TCP front end
+/// does with the bytes it reads. Stops at the first reply that closes
+/// the connection. Chaos floods and clients go through this one door.
+pub fn deliver(service: &SimService, conn: &mut FrameDecoder, bytes: &[u8]) -> Vec<Response> {
+    conn.push(bytes);
+    let mut replies = Vec::new();
+    while let Some(frame) = conn.next_frame() {
+        replies.push(respond(service, frame));
+        if replies.last().is_some_and(|out| out.close) {
+            break;
+        }
     }
-    match parse(line.trim()) {
-        Ok(frame) => execute(service, frame).unwrap_or_else(|| "OK bye".to_string()),
-        Err(msg) => format!("ERR {msg}"),
-    }
+    replies
 }
 
 /// Per-client virtual think time between frames: 20–200µs.
@@ -94,6 +98,8 @@ pub struct SimClient {
     /// Set by chaos: skip sending until this virtual instant — long
     /// enough past the session TTL that the sweeper evicts it first.
     stall_until_ns: Option<u64>,
+    /// The receive side of this client's connection.
+    conn: FrameDecoder,
 }
 
 /// What the executor should do after a wake.
@@ -130,6 +136,7 @@ impl SimClient {
             consistent: false,
             frames: 0,
             stall_until_ns: None,
+            conn: FrameDecoder::new(),
         }
     }
 
@@ -159,7 +166,7 @@ impl SimClient {
 
     /// Send the state machine's next frame through the real protocol
     /// and advance on the reply.
-    pub fn wake(&mut self, service: &mut SimService, now_ns: u64) -> Next {
+    pub fn wake(&mut self, service: &SimService, now_ns: u64) -> Next {
         if let Some(until) = self.stall_until_ns {
             if now_ns < until {
                 // Parked by chaos: wake again once the TTL has passed.
@@ -167,7 +174,7 @@ impl SimClient {
             }
             self.stall_until_ns = None;
         }
-        let line = match self.state {
+        let mut line = match self.state {
             State::Opening => self.open_line.clone(),
             State::Running => {
                 // Mostly STEPN; occasionally probe STATS or TRACE (which
@@ -189,7 +196,11 @@ impl SimClient {
             State::Closed | State::Dead(_) => return Next::Done,
         };
         self.frames += 1;
-        let reply = deliver(service, &line);
+        line.push('\n');
+        // One frame in, one reply out; no reply at all is an error.
+        let reply = deliver(service, &mut self.conn, line.as_bytes())
+            .pop()
+            .map_or_else(String::new, |out| out.reply);
         self.advance(&reply);
         match self.state {
             State::Closed | State::Dead(_) => Next::Done,

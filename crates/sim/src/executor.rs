@@ -12,7 +12,7 @@
 use cr_core::clock::SimClock;
 use cr_obs::SharedHistogram;
 use cr_serve::protocol::{parse, Frame};
-use cr_serve::{ServiceApi, ServiceConfig, Session, WorkloadSpec};
+use cr_serve::{ServiceConfig, Session, WorkloadSpec};
 use simrng::{mix64, rng_from_seed};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -22,7 +22,7 @@ use crate::chaos::Chaos;
 use crate::client::SimClient;
 use crate::client::{ClientOutcome, Next};
 use crate::report::{ClientRow, SimReport};
-use crate::service::SimService;
+use crate::service::{SimService, SimShards};
 
 /// Knobs of one simulation run. Defaults give a few virtual
 /// milliseconds of 8 clients over 4 shards — small enough for a test,
@@ -122,7 +122,7 @@ const CHAOS_SALT: u64 = 0xC4A0_5EED_0F0F_0F0F;
 /// Run one simulation to completion and report.
 pub fn run(cfg: &SimConfig) -> SimReport {
     let clock = SimClock::manual();
-    let mut service = SimService::new(&ServiceConfig {
+    let service = SimShards::service(&ServiceConfig {
         shards: cfg.shards.max(1),
         queue_capacity: cfg.queue_capacity,
         events_capacity: cfg.events_capacity,
@@ -163,24 +163,22 @@ pub fn run(cfg: &SimConfig) -> SimReport {
         let now_ns = clock.now().nanos();
         match ev.work {
             Work::Client(i) => {
-                if let Next::After(d) = clients[i].wake(&mut service, now_ns) {
+                if let Next::After(d) = clients[i].wake(&service, now_ns) {
                     schedule(&mut heap, now_ns + d.as_nanos() as u64, Work::Client(i));
                 }
             }
             Work::Sweep(s) => {
-                service.sweep(s, clock.now());
+                service.transport().sweep(s, clock.now());
                 // Sweeps stop once nothing can create or hold a session:
                 // that (plus client and restart events draining) ends
                 // the run.
-                if clients.iter().any(|c| c.active()) || service.live_sessions() > 0 {
+                if clients.iter().any(|c| c.active()) || service.transport().live_sessions() > 0 {
                     schedule(&mut heap, now_ns + sweep_ns, Work::Sweep(s));
                 }
             }
             Work::Chaos => {
                 if let Some(ch) = chaos.as_mut() {
-                    if let Some((shard, down)) =
-                        ch.tick(&mut service, &mut clients, now_ns, cfg.ttl)
-                    {
+                    if let Some((shard, down)) = ch.tick(&service, &mut clients, now_ns, cfg.ttl) {
                         schedule(
                             &mut heap,
                             now_ns + down.as_nanos() as u64,
@@ -193,7 +191,7 @@ pub fn run(cfg: &SimConfig) -> SimReport {
                 }
             }
             Work::Restart(s) => {
-                service.restart(s);
+                service.transport().restart(s);
                 restarts += 1;
             }
         }
@@ -205,7 +203,7 @@ pub fn run(cfg: &SimConfig) -> SimReport {
 /// Drain the final service state into a [`SimReport`].
 fn finish(
     cfg: &SimConfig,
-    mut service: SimService,
+    service: SimService,
     clients: Vec<SimClient>,
     chaos: Option<Chaos>,
     restarts: u64,

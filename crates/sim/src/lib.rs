@@ -14,8 +14,8 @@
 //!   `repro sim --seed S --chaos`.
 //!
 //! Chaos (BUGGIFY-style, [`chaos::Chaos`]) crashes shards (with
-//! scheduled restarts), reproduces queue-full storms, floods the parser
-//! with malformed and oversized frames, and parks clients past their
+//! scheduled restarts), reproduces queue-full storms, floods the serving
+//! door with malformed and oversized frames, and parks clients past their
 //! session TTL to race the eviction sweeper. The invariant after all of
 //! it ([`SimReport::ok`]): surviving sessions close with trace hashes
 //! equal to a fault-free single-threaded replay of their spec, `VERIFY`
@@ -44,7 +44,7 @@ pub use chaos::ChaosTally;
 pub use client::{deliver, SimClient};
 pub use executor::{run, SimConfig};
 pub use report::{ClientRow, SimReport};
-pub use service::SimService;
+pub use service::{SimService, SimShards};
 
 #[cfg(test)]
 mod tests {

@@ -18,6 +18,7 @@ use pramsim::core::protocol::{run_protocol, FlatPlacement, ProtocolWorkspace};
 use pramsim::core::{executors::BipartiteExec, SchemeKind, SimBuilder};
 use pramsim::memdist::{Clusters, MemoryMap};
 use pramsim::metrics::counting;
+use pramsim::serve::frame::FrameDecoder;
 use pramsim::simrng::rng_from_seed;
 
 #[global_allocator]
@@ -235,4 +236,34 @@ fn mot_routing_allocates_nothing_after_warmup() {
         let allocs = counting::thread_allocations() - before;
         assert_eq!(allocs, 0, "{name}: warm MotNetwork routing allocated");
     }
+}
+
+/// Zero allocations while a warm `FrameDecoder` takes in a pipelined
+/// window of 1,000 frames and yields every one: the serving door's
+/// framing costs nothing per frame once the buffer has grown.
+#[test]
+fn frame_decoding_allocates_nothing_after_warmup() {
+    assert!(
+        counting::is_active(),
+        "counting allocator must be installed"
+    );
+    let window: Vec<u8> = (0..1000)
+        .flat_map(|sid| format!("STEPN {sid} 32 uniform\r\n").into_bytes())
+        .collect();
+    let mut decoder = FrameDecoder::new();
+    let drain = |decoder: &mut FrameDecoder| -> usize {
+        decoder.push(&window);
+        let mut frames = 0;
+        while let Some(frame) = decoder.next_frame() {
+            assert!(frame.is_ok_and(|f| f.starts_with("STEPN ")));
+            frames += 1;
+        }
+        frames
+    };
+    assert_eq!(drain(&mut decoder), 1000); // warm-up: the buffer grows
+    let before = counting::thread_allocations();
+    let frames = drain(&mut decoder);
+    let allocs = counting::thread_allocations() - before;
+    assert_eq!(frames, 1000);
+    assert_eq!(allocs, 0, "warm FrameDecoder allocated");
 }
