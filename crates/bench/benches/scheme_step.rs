@@ -40,6 +40,22 @@ fn bench_schemes(c: &mut Criterion) {
         });
     }
 
+    // HP-DMMPC at the `dmmpc-uniform` workload's size (c = 6, r = 11:
+    // 11,264 copy attempts per full step), so the protocol's per-step
+    // cost at scale has a number of its own.
+    let (n, m) = (1024, 4096);
+    let mut scheme = SimBuilder::new(n, m)
+        .kind(SchemeKind::HpDmmpc)
+        .build()
+        .expect("default regimes are feasible");
+    g.bench_function(format!("{}_n{n}", SchemeKind::HpDmmpc.name()), |bch| {
+        bch.iter_batched(
+            || step_inputs(n, m, 17),
+            |(r, w)| scheme.access(&r, &w),
+            BatchSize::SmallInput,
+        )
+    });
+
     g.finish();
 }
 

@@ -15,7 +15,7 @@
 //! the assertions stay strict per-window.
 
 use pramsim::core::protocol::{run_protocol, FlatPlacement, ProtocolWorkspace};
-use pramsim::core::{executors::BipartiteExec, SchemeKind, SimBuilder};
+use pramsim::core::{executors::BipartiteExec, SchemeConfig, SchemeKind, SimBuilder};
 use pramsim::memdist::{Clusters, MemoryMap};
 use pramsim::metrics::counting;
 use pramsim::serve::frame::FrameDecoder;
@@ -25,19 +25,27 @@ use pramsim::simrng::rng_from_seed;
 static ALLOC: counting::CountingAlloc = counting::CountingAlloc;
 
 /// Zero allocations across entire `run_protocol` calls (hence zero per
-/// phase) on the DMMPC path, once the workspace has warmed up.
+/// phase) on the DMMPC path, once the workspace has warmed up. Covers the
+/// workload regime (`r = 11`, one copy-mask word per request) and the
+/// two-processor regime the builder gives `c = 40`, `r = 79` (two words).
 #[test]
 fn dmmpc_protocol_steps_allocate_nothing_after_warmup() {
     assert!(
         counting::is_active(),
         "counting allocator must be installed"
     );
-    let (n, m) = (256usize, 1024usize);
-    let cfg = SimBuilder::new(n, m)
-        .kind(SchemeKind::HpDmmpc)
-        .seed(3)
-        .fine_config()
-        .expect("regime is feasible");
+    for (n, m, words) in [(256usize, 1024usize, 1usize), (2, 1024, 2)] {
+        let cfg = SimBuilder::new(n, m)
+            .kind(SchemeKind::HpDmmpc)
+            .seed(3)
+            .fine_config()
+            .expect("regime is feasible");
+        assert_eq!(cfg.redundancy().div_ceil(64), words, "n = {n}");
+        assert_protocol_steps_allocate_nothing(n, m, &cfg);
+    }
+}
+
+fn assert_protocol_steps_allocate_nothing(n: usize, m: usize, cfg: &SchemeConfig) {
     let r = cfg.redundancy();
     let map = MemoryMap::random(cfg.m, cfg.modules, r, cfg.seed);
     let clusters = Clusters::new(n, r);
@@ -49,7 +57,7 @@ fn dmmpc_protocol_steps_allocate_nothing_after_warmup() {
     let mut rng = rng_from_seed(77);
     let steps: Vec<Vec<(usize, usize)>> = (0..6)
         .map(|k| {
-            let p = workloads::uniform(n - 16 * k, m, 0.0, &mut rng);
+            let p = workloads::uniform(n - k * (n / 16), m, 0.0, &mut rng);
             p.reads.iter().copied().enumerate().collect()
         })
         .collect();
@@ -79,7 +87,7 @@ fn dmmpc_protocol_steps_allocate_nothing_after_warmup() {
     assert_eq!(
         after - before,
         0,
-        "steady-state DMMPC protocol steps must not allocate"
+        "steady-state DMMPC protocol steps must not allocate (r = {r})"
     );
 }
 

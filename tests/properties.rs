@@ -74,6 +74,23 @@ fn every_scheme_sequentially_consistent() {
 }
 
 #[test]
+fn multi_word_quorums_sequentially_consistent() {
+    // Two processors over 1024 cells: the builder picks c = 40, r = 79,
+    // so each request's copy bitmasks span two 64-bit words — the path
+    // the one-word fast path of every other configuration skips.
+    for kind in [SchemeKind::HpDmmpc, SchemeKind::Hp2dmotLeaves] {
+        let (n, m) = (2, 1024);
+        let mut scheme = SimBuilder::new(n, m).kind(kind).seed(5).build().unwrap();
+        assert!(
+            scheme.redundancy() > 64.0,
+            "{kind}: r = {} fits one mask word",
+            scheme.redundancy()
+        );
+        check_against_ideal(scheme.as_mut(), n, m, 0xB17 ^ kind as u64, 500);
+    }
+}
+
+#[test]
 fn quorum_intersection_holds() {
     // Any write quorum of size c followed by any read quorum of size c
     // yields the written value (r = 2c - 1).
