@@ -34,11 +34,11 @@ fn bench_store(c: &mut Criterion) {
         let mut ts = 0u64;
         bch.iter(|| {
             ts += 1;
-            store.write_quorum(black_box(17), &quorum, 42, ts)
+            store.write_quorum(black_box(17), quorum, 42, ts)
         })
     });
     g.bench_function("read_majority_c4", |bch| {
-        bch.iter(|| store.read_majority(black_box(17), &quorum))
+        bch.iter(|| store.read_majority(black_box(17), quorum))
     });
     g.finish();
 }

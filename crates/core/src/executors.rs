@@ -56,28 +56,30 @@ impl PhaseExecutor for BipartiteExec {
             self.phase_epoch = 1;
         }
         let epoch_tag = (self.phase_epoch as u64) << 32;
+        let (modules, state) = (self.modules, &mut self.state);
+        let mut max_demand = self.max_module_demand;
         outcome.clear();
-        outcome.reserve(attempts.len());
-        for a in attempts {
+        outcome.extend(attempts.iter().map(|a| {
             let m = a.module as usize;
-            debug_assert!(m < self.modules);
-            let s = self.state[m];
+            debug_assert!(m < modules);
+            let s = state[m];
             let served = if s & 0xFFFF_FFFF_0000_0000 == epoch_tag {
                 (s as u32) + 1
             } else {
                 1
             };
-            self.state[m] = epoch_tag | served as u64;
+            state[m] = epoch_tag | served as u64;
             // The demand diagnostic folds into the admission loop: load
             // only grows within a phase, so the running max equals the
             // post-phase max.
-            self.max_module_demand = self.max_module_demand.max(served);
-            outcome.push(if served <= pipeline as u32 {
+            max_demand = max_demand.max(served);
+            if served <= pipeline as u32 {
                 AttemptOutcome::Served
             } else {
                 AttemptOutcome::Killed
-            });
-        }
+            }
+        }));
+        self.max_module_demand = max_demand;
         // A phase on a complete interconnect is one routing round:
         // one time unit, one cycle; message per attempt and reply.
         StepCost {
@@ -214,7 +216,6 @@ mod tests {
     fn attempt(req: u32, module: u32, src: u32) -> CopyAttempt {
         CopyAttempt {
             req,
-            var: req,
             copy: 0,
             module,
             row: req % 4,

@@ -172,20 +172,23 @@ impl<E: PhaseExecutor, P: CopyPlacement> SharedMemory for MajorityScheme<E, P> {
             .iter()
             .enumerate()
             .map(|(i, &var)| {
-                let quorum = self.ws.accessed(i);
-                if quorum.is_empty() {
+                if self.ws.accessed(i).next().is_none() {
                     0
                 } else {
-                    self.store.read_majority(var, quorum)
+                    self.store.read_majority(var, self.ws.accessed(i))
                 }
             })
             .collect();
 
+        // One fresh stamp per step and one write per variable per step:
+        // copies sharing the newest stamp agree, so quorum order cannot
+        // change what a read returns.
         self.step += 1;
         for (j, &(var, value)) in writes.iter().enumerate() {
-            let quorum = self.ws.accessed(reads.len() + j);
-            debug_assert!(quorum.len() >= self.cfg.c || proto.failed_requests > 0);
-            self.store.write_quorum(var, quorum, value, self.step);
+            let i = reads.len() + j;
+            debug_assert!(self.ws.accessed_count(i) >= self.cfg.c || proto.failed_requests > 0);
+            self.store
+                .write_quorum(var, self.ws.accessed(i), value, self.step);
         }
 
         let report = StepReport {

@@ -25,12 +25,12 @@
 //!
 //! All per-step state lives in a caller-owned [`ProtocolWorkspace`]
 //! (DESIGN.md §7): the attempt batch, the outcome buffer the executor
-//! writes into, per-request accessed/dead **copy bitmasks** (a bit test
-//! instead of the old `accessed[i].contains(&copy)` linear scan), flat
-//! stride-`r` quorum lists (replacing per-request `Vec`s), and a CSR
-//! per-cluster request index. A scheme reuses one workspace across every
-//! step, so the steady-state protocol path performs **zero heap
-//! allocations** — verified by `tests/alloc_steady_state.rs`.
+//! writes into, a CSR per-cluster request index, and two **copy
+//! bitmasks** per request (accessed, written off) — the only quorum state:
+//! counts are popcounts and placements are computed at issue. A scheme
+//! reuses one workspace across every step, so the steady-state protocol
+//! path performs **zero heap allocations** — verified by
+//! `tests/alloc_steady_state.rs`.
 
 use memdist::{Clusters, MemoryMap};
 use pram_machine::StepCost;
@@ -38,17 +38,16 @@ use pram_machine::StepCost;
 /// One copy-access attempt issued in a phase.
 ///
 /// Fields are `u32`: a phase batch streams thousands of attempts through
-/// the executor per step, and halving the struct (24 vs 48 bytes) is a
-/// measured win on the memory-bound issue/serve loops. Every field
-/// indexes an in-machine entity (request slot, variable, module, grid
-/// coordinate, processor), all of which fit comfortably.
+/// the executor per step, and halving the struct (20 bytes instead of 40
+/// with `usize` fields) is a measured win on the memory-bound issue/serve
+/// loops. Every field indexes an in-machine entity (request slot, module,
+/// grid coordinate, processor), all of which fit comfortably; no executor
+/// needs the variable, so it is not carried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyAttempt {
     /// Index into the step's request list.
     pub req: u32,
-    /// The variable being accessed.
-    pub var: u32,
-    /// Which of its `2c−1` copies.
+    /// Which of the variable's `2c−1` copies.
     pub copy: u32,
     /// Contention unit (module on a DMMPC; column on the 2DMOT).
     pub module: u32,
@@ -153,11 +152,11 @@ impl ProtocolStats {
     }
 }
 
-/// Placement of copies on the machine: contention unit and grid row,
-/// derived from the memory map.
+/// Placement of copies on the machine: the contention unit is the memory
+/// map's module; the placement adds the grid row.
 pub trait CopyPlacement {
-    /// `(module, row)` of copy `copy` of variable `var` under `map`.
-    fn place(&self, map: &MemoryMap, var: usize, copy: usize) -> (usize, usize);
+    /// Grid row of copy `copy` of variable `var`.
+    fn row(&self, var: usize, copy: usize) -> usize;
 }
 
 /// DMMPC placement: the map's module, no grid row.
@@ -165,8 +164,8 @@ pub trait CopyPlacement {
 pub struct FlatPlacement;
 
 impl CopyPlacement for FlatPlacement {
-    fn place(&self, map: &MemoryMap, var: usize, copy: usize) -> (usize, usize) {
-        (map.module_of(var, copy), 0)
+    fn row(&self, _var: usize, _copy: usize) -> usize {
+        0
     }
 }
 
@@ -180,10 +179,8 @@ pub struct GridPlacement {
 }
 
 impl CopyPlacement for GridPlacement {
-    fn place(&self, map: &MemoryMap, var: usize, copy: usize) -> (usize, usize) {
-        let col = map.module_of(var, copy);
-        let row = (simrng::mix64(((var as u64) << 20) | copy as u64) % self.side as u64) as usize;
-        (col, row)
+    fn row(&self, var: usize, copy: usize) -> usize {
+        (simrng::mix64(((var as u64) << 20) | copy as u64) % self.side as u64) as usize
     }
 }
 
@@ -192,14 +189,11 @@ impl CopyPlacement for GridPlacement {
 /// so the steady state allocates nothing.
 ///
 /// After a step, the quorums live here: [`accessed`](Self::accessed)
-/// returns the copy indices each request reached, in service order —
-/// what the old API returned as a fresh `Vec<Vec<usize>>` per step.
+/// yields the copy indices each request reached.
 #[derive(Debug, Default)]
 pub struct ProtocolWorkspace {
     /// Requests in the prepared step.
     len: usize,
-    /// Copies per variable (the stride of `accessed`).
-    r: usize,
     /// `u64` words per request in the copy bitmasks.
     words: usize,
     /// The phase's attempt batch (built fresh each phase, capacity kept).
@@ -210,12 +204,6 @@ pub struct ProtocolWorkspace {
     accessed_mask: Vec<u64>,
     /// Per-request written-off-copy bitmask (`len × words`).
     dead_mask: Vec<u64>,
-    /// Flat stride-`r` accessed-copy lists, gated by `accessed_len`.
-    accessed: Vec<usize>,
-    /// Copies accessed per request.
-    accessed_len: Vec<u32>,
-    /// Copies written off per request.
-    dead_count: Vec<u32>,
     /// CSR offsets: cluster `k`'s requests are
     /// `cluster_reqs[cluster_start[k]..cluster_start[k+1]]`.
     cluster_start: Vec<u32>,
@@ -225,13 +213,6 @@ pub struct ProtocolWorkspace {
     cluster_reqs: Vec<u32>,
     /// Counting-sort scratch for the CSR fill.
     fill: Vec<u32>,
-    /// Per-step placement cache, stride `r`: copy placements are
-    /// deterministic in `(var, copy)`, so they are computed once when a
-    /// request first issues and replayed from here on every retry.
-    place_module: Vec<u32>,
-    place_row: Vec<u32>,
-    /// Whether request `i`'s placements are cached yet this step.
-    placed: Vec<bool>,
 }
 
 impl ProtocolWorkspace {
@@ -246,7 +227,6 @@ impl ProtocolWorkspace {
     /// Allocates only while growing past the largest step seen so far.
     fn prepare(&mut self, len: usize, r: usize, nclusters: usize) {
         self.len = len;
-        self.r = r;
         self.words = r.div_ceil(64).max(1);
         self.attempts.clear();
         self.outcome.clear();
@@ -254,12 +234,6 @@ impl ProtocolWorkspace {
         self.accessed_mask.resize(len * self.words, 0);
         self.dead_mask.clear();
         self.dead_mask.resize(len * self.words, 0);
-        // `accessed` needs no reset: reads are gated by `accessed_len`.
-        self.accessed.resize(len * r, 0);
-        self.accessed_len.clear();
-        self.accessed_len.resize(len, 0);
-        self.dead_count.clear();
-        self.dead_count.resize(len, 0);
         self.cluster_start.clear();
         self.cluster_start.resize(nclusters + 1, 0);
         self.cluster_cursor.clear();
@@ -268,11 +242,6 @@ impl ProtocolWorkspace {
         self.cluster_reqs.resize(len, 0);
         self.fill.clear();
         self.fill.resize(nclusters, 0);
-        // The placement cache needs no reset: reads are gated by `placed`.
-        self.place_module.resize(len * r, 0);
-        self.place_row.resize(len * r, 0);
-        self.placed.clear();
-        self.placed.resize(len, false);
     }
 
     /// Requests in the last prepared step.
@@ -280,13 +249,38 @@ impl ProtocolWorkspace {
         self.len
     }
 
-    /// Copy indices request `i` accessed in the last step, in service
-    /// order (`≥ c` on a fault-free machine; possibly short under fault
-    /// injection).
-    pub fn accessed(&self, i: usize) -> &[usize] {
+    /// Request `i`'s accessed-copy bitmask words.
+    fn accessed_words(&self, i: usize) -> &[u64] {
         debug_assert!(i < self.len);
-        &self.accessed[i * self.r..i * self.r + self.accessed_len[i] as usize]
+        &self.accessed_mask[i * self.words..(i + 1) * self.words]
     }
+
+    /// Copy indices request `i` accessed in the last step, in ascending
+    /// copy order (`≥ c` of them on a fault-free machine; possibly fewer
+    /// under fault injection).
+    pub fn accessed(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let words = self.accessed_words(i);
+        let (mut word, mut bits) = (0, words[0]);
+        std::iter::from_fn(move || {
+            while bits == 0 {
+                word += 1;
+                bits = *words.get(word)?;
+            }
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(word * 64 + bit)
+        })
+    }
+
+    /// How many copies request `i` accessed in the last step.
+    pub fn accessed_count(&self, i: usize) -> usize {
+        ones(self.accessed_words(i)) as usize
+    }
+}
+
+/// Set bits across a bitmask's words.
+fn ones(words: &[u64]) -> u32 {
+    words.iter().map(|w| w.count_ones()).sum()
 }
 
 /// The protocol's per-step view over a prepared workspace: disjoint
@@ -295,7 +289,7 @@ impl ProtocolWorkspace {
 struct StepState<'a, P: CopyPlacement> {
     requests: &'a [(usize, usize)],
     clusters: &'a Clusters,
-    c: usize,
+    c: u32,
     r: usize,
     words: usize,
     map: &'a MemoryMap,
@@ -304,15 +298,9 @@ struct StepState<'a, P: CopyPlacement> {
     outcome: &'a mut Vec<AttemptOutcome>,
     accessed_mask: &'a mut [u64],
     dead_mask: &'a mut [u64],
-    accessed: &'a mut [usize],
-    accessed_len: &'a mut [u32],
-    dead_count: &'a mut [u32],
     cluster_start: &'a [u32],
     cluster_cursor: &'a mut [u32],
     cluster_reqs: &'a [u32],
-    place_module: &'a mut [u32],
-    place_row: &'a mut [u32],
-    placed: &'a mut [bool],
 }
 
 impl<P: CopyPlacement> StepState<'_, P> {
@@ -320,11 +308,21 @@ impl<P: CopyPlacement> StepState<'_, P> {
     /// an untried, not-written-off copy to attempt. Requests that exhaust
     /// their viable copies below `c` are *failed* — they stop contending
     /// (and are counted at the end), instead of spinning on dead modules
-    /// forever. O(1): a copy is never both accessed and written off, so
-    /// the untried viable copies are exactly `r - accessed - dead`.
+    /// forever.
     fn live(&self, i: usize) -> bool {
-        self.accessed_len[i] < self.c as u32
-            && self.accessed_len[i] + self.dead_count[i] < self.r as u32
+        if self.words == 1 {
+            return self.untried(i, 0) != 0 && self.accessed_mask[i].count_ones() < self.c;
+        }
+        (0..self.words).any(|w| self.untried(i, w) != 0)
+            && ones(&self.accessed_mask[i * self.words..(i + 1) * self.words]) < self.c
+    }
+
+    /// Request `i`'s copies in mask word `w` that are neither accessed
+    /// nor written off.
+    fn untried(&self, i: usize, w: usize) -> u64 {
+        let valid = u64::MAX >> (64 * w + 64).saturating_sub(self.r);
+        let at = i * self.words + w;
+        !(self.accessed_mask[at] | self.dead_mask[at]) & valid
     }
 
     /// Issue and execute one phase; `false` when no live request remains.
@@ -338,36 +336,29 @@ impl<P: CopyPlacement> StepState<'_, P> {
         // Total phases so far — rotates the member↔copy assignment below.
         let phase = stats.stage1_phases + stats.stage2_phases;
         self.attempts.clear();
+        self.attempts.reserve(self.clusters.count() * self.r);
         for k in 0..self.clusters.count() {
             let reqs = &self.cluster_reqs
                 [self.cluster_start[k] as usize..self.cluster_start[k + 1] as usize];
-            if reqs.is_empty() {
-                continue;
-            }
-            // Rotate to this cluster's next live request.
+            // Rotate to this cluster's next live request (compare-and-wrap).
+            let mut at = self.cluster_cursor[k] as usize;
             let mut chosen = None;
-            for off in 0..reqs.len() {
-                let i = reqs[(self.cluster_cursor[k] as usize + off) % reqs.len()] as usize;
+            for _ in 0..reqs.len() {
+                let i = reqs[at] as usize;
+                at += 1;
+                if at == reqs.len() {
+                    at = 0;
+                }
                 if self.live(i) {
                     chosen = Some(i);
-                    self.cluster_cursor[k] =
-                        ((self.cluster_cursor[k] as usize + off + 1) % reqs.len()) as u32;
                     break;
                 }
             }
             let Some(i) = chosen else { continue };
-            let (_, var) = self.requests[i];
-            // Placements are deterministic in (var, copy): compute them
-            // once, on the request's first issue, and replay the cache on
-            // every retry phase.
-            if !self.placed[i] {
-                self.placed[i] = true;
-                for copy in 0..self.r {
-                    let (module, row) = self.placement.place(self.map, var, copy);
-                    self.place_module[i * self.r + copy] = module as u32;
-                    self.place_row[i * self.r + copy] = row as u32;
-                }
-            }
+            self.cluster_cursor[k] = at as u32;
+            let var = self.requests[i].1;
+            // One map row load: the contention units of the copies issued.
+            let modules = self.map.copies(var);
             // One cluster member per live copy. The assignment rotates
             // with the phase counter: a copy retried in a later phase is
             // issued by a *different* cluster member, so a route blocked
@@ -377,47 +368,27 @@ impl<P: CopyPlacement> StepState<'_, P> {
             // identical doomed attempt forever. Cluster members are a
             // contiguous processor range, so the rotation is pure index
             // arithmetic — no member list is materialized.
-            let members = self
-                .clusters
-                .members(self.clusters.cluster_of(self.requests[i].0));
-            let mlen = members.len();
-            let mut member = phase as usize;
-            let mut issue = |copy: usize, member: usize| {
-                self.attempts.push(CopyAttempt {
-                    req: i as u32,
-                    var: var as u32,
-                    copy: copy as u32,
-                    module: self.place_module[i * self.r + copy],
-                    row: self.place_row[i * self.r + copy],
-                    src: (members.start + member % mlen) as u32,
-                });
-            };
-            if self.words == 1 {
-                // Fast path (r ≤ 64, every configured scheme): one busy
-                // word, iterate set bits of its complement.
-                let busy = self.accessed_mask[i] | self.dead_mask[i];
-                let all = if self.r == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << self.r) - 1
-                };
-                let mut free = !busy & all;
-                while free != 0 {
-                    let copy = free.trailing_zeros() as usize;
+            let members = self.clusters.members(k);
+            let mut member = (phase % members.len() as u64) as usize;
+            // The untried copies, word by word, in ascending order.
+            for w in 0..self.words {
+                let mut free = self.untried(i, w);
+                self.attempts.extend((0..free.count_ones()).map(|_| {
+                    let copy = w * 64 + free.trailing_zeros() as usize;
                     free &= free - 1;
-                    issue(copy, member);
+                    let src = members.start + member;
                     member += 1;
-                }
-            } else {
-                for copy in 0..self.r {
-                    let w = i * self.words + copy / 64;
-                    let bit = 1u64 << (copy % 64);
-                    if (self.accessed_mask[w] | self.dead_mask[w]) & bit != 0 {
-                        continue;
+                    if member == members.len() {
+                        member = 0;
                     }
-                    issue(copy, member);
-                    member += 1;
-                }
+                    CopyAttempt {
+                        req: i as u32,
+                        copy: copy as u32,
+                        module: modules[copy],
+                        row: self.placement.row(var, copy) as u32,
+                        src: src as u32,
+                    }
+                }));
             }
         }
         if self.attempts.is_empty() {
@@ -427,25 +398,42 @@ impl<P: CopyPlacement> StepState<'_, P> {
         debug_assert_eq!(self.outcome.len(), self.attempts.len());
         stats.cycles += cost.cycles;
         stats.messages += cost.messages;
-        for (a, &out) in self.attempts.iter().zip(self.outcome.iter()) {
-            let (req, copy) = (a.req as usize, a.copy as usize);
-            match out {
-                AttemptOutcome::Served => {
-                    stats.copies_accessed += 1;
-                    // Record even past c: extra accessed copies strengthen
-                    // the quorum at no additional cost.
-                    self.accessed[req * self.r + self.accessed_len[req] as usize] = copy;
-                    self.accessed_len[req] += 1;
-                    self.accessed_mask[req * self.words + copy / 64] |= 1 << (copy % 64);
+        // Each issued request's attempts are one run of the batch, in the
+        // order of its untried copies (unchanged since issue): replay that
+        // mask against the run's outcomes, one served and one dead mask.
+        let (mut killed_n, mut dead_n) = (0u64, 0u64);
+        let mut at = 0;
+        while at < self.attempts.len() {
+            let req = self.attempts[at].req as usize;
+            for w in 0..self.words {
+                let mut free = self.untried(req, w);
+                let (mut served, mut dead) = (0u64, 0u64);
+                while free != 0 {
+                    let bit = free & free.wrapping_neg();
+                    free ^= bit;
+                    debug_assert_eq!(
+                        self.attempts[at].copy as usize,
+                        w * 64 + bit.trailing_zeros() as usize
+                    );
+                    match self.outcome[at] {
+                        AttemptOutcome::Served => served |= bit,
+                        AttemptOutcome::Killed => killed_n += 1,
+                        AttemptOutcome::Dead => {
+                            dead |= bit;
+                            dead_n += 1;
+                        }
+                    }
+                    at += 1;
                 }
-                AttemptOutcome::Killed => stats.killed_attempts += 1,
-                AttemptOutcome::Dead => {
-                    stats.dead_attempts += 1;
-                    self.dead_mask[req * self.words + copy / 64] |= 1 << (copy % 64);
-                    self.dead_count[req] += 1;
-                }
+                // Record even past c: extra accessed copies strengthen
+                // the quorum at no additional cost.
+                self.accessed_mask[req * self.words + w] |= served;
+                self.dead_mask[req * self.words + w] |= dead;
             }
         }
+        stats.copies_accessed += self.attempts.len() as u64 - killed_n - dead_n;
+        stats.killed_attempts += killed_n;
+        stats.dead_attempts += dead_n;
         true
     }
 }
@@ -506,7 +494,7 @@ pub fn run_protocol<E: PhaseExecutor>(
     let mut state = StepState {
         requests,
         clusters,
-        c,
+        c: c as u32,
         r,
         words: ws.words,
         map,
@@ -515,25 +503,24 @@ pub fn run_protocol<E: PhaseExecutor>(
         outcome: &mut ws.outcome,
         accessed_mask: &mut ws.accessed_mask,
         dead_mask: &mut ws.dead_mask,
-        accessed: &mut ws.accessed,
-        accessed_len: &mut ws.accessed_len,
-        dead_count: &mut ws.dead_count,
         cluster_start: &ws.cluster_start,
         cluster_cursor: &mut ws.cluster_cursor,
         cluster_reqs: &ws.cluster_reqs,
-        place_module: &mut ws.place_module,
-        place_row: &mut ws.place_row,
-        placed: &mut ws.placed,
     };
 
     // Stage 1: bounded, serialized module service.
+    // `pending` turns false once a phase finds nothing left to issue.
+    let mut pending = true;
     for _ in 0..stage1_phases {
-        if !state.run_phase(exec, &mut stats, 1) {
+        pending = state.run_phase(exec, &mut stats, 1);
+        if !pending {
             break;
         }
         stats.stage1_phases += 1;
     }
-    stats.stage1_leftover = (0..requests.len()).filter(|&i| state.live(i)).count();
+    if pending {
+        stats.stage1_leftover = (0..requests.len()).filter(|&i| state.live(i)).count();
+    }
     // Per-stage attribution seam (DESIGN.md §10): everything counted so
     // far belongs to stage 1; stage 2 is the difference at the end.
     stats.stage1_cycles = stats.cycles;
@@ -549,7 +536,7 @@ pub fn run_protocol<E: PhaseExecutor>(
     // requests simply end short-quorum and are counted as failed below,
     // the honest degraded outcome.
     let guard = 4 * c as u64 * requests.len() as u64 + 16;
-    while state.run_phase(exec, &mut stats, stage2_pipeline) {
+    while pending && state.run_phase(exec, &mut stats, stage2_pipeline) {
         stats.stage2_phases += 1;
         if stats.stage2_phases > guard {
             assert!(
@@ -561,7 +548,7 @@ pub fn run_protocol<E: PhaseExecutor>(
     }
 
     stats.failed_requests = (0..requests.len())
-        .filter(|&i| ws.accessed_len[i] < c as u32)
+        .filter(|&i| ws.accessed_count(i) < c)
         .count();
     debug_assert!(
         stats.failed_requests == 0 || exec.lossy(),
@@ -602,7 +589,7 @@ mod tests {
             &mut ws,
         );
         let accessed = (0..requests.len())
-            .map(|i| ws.accessed(i).to_vec())
+            .map(|i| ws.accessed(i).collect())
             .collect();
         (accessed, stats)
     }
@@ -870,7 +857,7 @@ mod tests {
                 &mut ws,
             );
             let acc: Vec<Vec<usize>> = (0..requests.len())
-                .map(|i| ws.accessed(i).to_vec())
+                .map(|i| ws.accessed(i).collect())
                 .collect();
             reused.push((acc, stats));
         }

@@ -237,7 +237,7 @@ fn config_hash<E: PhaseExecutor>(
         fold_stats(&mut step_hash, &stats);
         fnv1a(&mut step_hash, ws.requests() as u64);
         for i in 0..requests.len() {
-            let mut set: Vec<usize> = ws.accessed(i).to_vec();
+            let mut set: Vec<usize> = ws.accessed(i).collect();
             set.sort_unstable();
             fnv1a(&mut step_hash, set.len() as u64);
             for copy in set {

@@ -154,7 +154,6 @@ mod tests {
     fn attempt(req: u32, module: u32) -> CopyAttempt {
         CopyAttempt {
             req,
-            var: req,
             copy: 0,
             module,
             row: 0,

@@ -61,28 +61,32 @@ impl ReplicatedStore {
 
     /// Write `value` with stamp `ts` to the given copy indices (the write
     /// quorum the protocol managed to reach — the caller enforces `≥ c`).
-    pub fn write_quorum(&mut self, v: VarId, copies: &[usize], value: Value, ts: u64) {
-        for &i in copies {
+    pub fn write_quorum(
+        &mut self,
+        v: VarId,
+        copies: impl IntoIterator<Item = usize>,
+        value: Value,
+        ts: u64,
+    ) {
+        for i in copies {
             self.write_copy(v, i, value, ts);
         }
     }
 
     /// Majority read over the given copy indices: the value with the
-    /// newest timestamp. The caller enforces that `copies` is a legal read
-    /// quorum (`≥ c` copies).
-    pub fn read_majority(&self, v: VarId, copies: &[usize]) -> Value {
-        let mut best_ts = 0u64;
-        let mut best_val = 0;
-        let mut first = true;
-        for &i in copies {
+    /// newest timestamp (the first copy visited wins a tie, which is only
+    /// a choice when one stamp went to more than one value). The caller
+    /// enforces that `copies` is a legal read quorum (`≥ c` copies).
+    pub fn read_majority(&self, v: VarId, copies: impl IntoIterator<Item = usize>) -> Value {
+        let mut copies = copies.into_iter();
+        let first = copies.next().expect("read quorum must be non-empty");
+        let (mut best_val, mut best_ts) = self.read_copy(v, first);
+        for i in copies {
             let (val, ts) = self.read_copy(v, i);
-            if first || ts > best_ts {
-                best_ts = ts;
-                best_val = val;
-                first = false;
+            if ts > best_ts {
+                (best_val, best_ts) = (val, ts);
             }
         }
-        assert!(!first, "read quorum must be non-empty");
         best_val
     }
 
@@ -114,7 +118,7 @@ mod tests {
     #[test]
     fn initial_state_consistent() {
         let s = store(4, 5);
-        assert_eq!(s.read_majority(2, &[0, 1, 2]), 0);
+        assert_eq!(s.read_majority(2, [0, 1, 2]), 0);
         assert_eq!(s.newest_stamp(2), 0);
     }
 
@@ -123,21 +127,21 @@ mod tests {
         // r = 5, c = 3: write to copies {0,1,2}, read from {2,3,4} —
         // they intersect in copy 2, which carries the new stamp.
         let mut s = store(2, 5);
-        s.write_quorum(0, &[0, 1, 2], 42, 7);
-        assert_eq!(s.read_majority(0, &[2, 3, 4]), 42);
+        s.write_quorum(0, [0, 1, 2], 42, 7);
+        assert_eq!(s.read_majority(0, [2, 3, 4]), 42);
         // A *sub-quorum* read that misses the write quorum sees stale data:
         // this is exactly why c copies are required.
-        assert_eq!(s.read_majority(0, &[3, 4]), 0);
+        assert_eq!(s.read_majority(0, [3, 4]), 0);
     }
 
     #[test]
     fn newer_stamp_wins_regardless_of_order() {
         let mut s = store(1, 5);
-        s.write_quorum(0, &[0, 1, 2], 1, 1);
-        s.write_quorum(0, &[2, 3, 4], 2, 2);
+        s.write_quorum(0, [0, 1, 2], 1, 1);
+        s.write_quorum(0, [2, 3, 4], 2, 2);
         // Copy 0 still holds (1, ts=1); copy 3 holds (2, ts=2).
-        assert_eq!(s.read_majority(0, &[0, 3, 4]), 2);
-        assert_eq!(s.read_majority(0, &[0, 1, 2]), 2); // via copy 2
+        assert_eq!(s.read_majority(0, [0, 3, 4]), 2);
+        assert_eq!(s.read_majority(0, [0, 1, 2]), 2); // via copy 2
     }
 
     #[test]
@@ -167,9 +171,13 @@ mod tests {
                 .collect();
             if rng.chance(0.5) {
                 latest = step as Value * 10;
-                s.write_quorum(0, &quorum, latest, step);
+                s.write_quorum(0, quorum.iter().copied(), latest, step);
             } else {
-                assert_eq!(s.read_majority(0, &quorum), latest, "at step {step}");
+                assert_eq!(
+                    s.read_majority(0, quorum.iter().copied()),
+                    latest,
+                    "at step {step}"
+                );
             }
         }
     }
@@ -178,6 +186,6 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_quorum_rejected() {
         let s = store(1, 3);
-        let _ = s.read_majority(0, &[]);
+        let _ = s.read_majority(0, []);
     }
 }

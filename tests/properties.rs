@@ -111,9 +111,9 @@ fn quorum_intersection_holds() {
             .into_iter()
             .map(|x| x as usize)
             .collect();
-        store.write_quorum(0, &wq, value, 7);
+        store.write_quorum(0, wq.iter().copied(), value, 7);
         assert_eq!(
-            store.read_majority(0, &rq),
+            store.read_majority(0, rq.iter().copied()),
             value,
             "case {case}: c={c}, write quorum {wq:?}, read quorum {rq:?}"
         );
